@@ -2,7 +2,9 @@
 
 Subcommands mirror the library surface: exact kernel evaluation, identity
 checks, simulation, and the theorem-level experiments.  Exit code 0 means
-all requested checks passed, 1 means a check failed, 2 means bad usage.
+all requested checks passed, 1 means a check failed, 2 means bad usage:
+a malformed command line, or an argument the library rejects with
+ValueError, reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -102,6 +104,8 @@ def _cmd_ctmc(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.q is not None and args.which != "markov-marginal":
+        raise ValueError(f"--q does not apply to {args.which}, whose q is set by --big-n")
     q = _parse_q(args.q) if args.q else None
     if args.which == "markov-marginal":
         report = experiments.experiment_markov_marginal(
@@ -214,7 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"gtpatterns: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

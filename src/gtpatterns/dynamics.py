@@ -119,6 +119,8 @@ class DiscreteSimulation:
         self.q = float(q)
         if not 0 < self.q < 1:
             raise ValueError("q must be in (0,1)")
+        if k < 1 or n_paths < 1:
+            raise ValueError(f"need k >= 1 and n_paths >= 1, got k={k}, n_paths={n_paths}")
         self.k = k
         self.n_paths = n_paths
         self.rng = np.random.default_rng(seed)
@@ -127,7 +129,6 @@ class DiscreteSimulation:
             for l in range(1, k + 1)
             for j in range(1, row_length(l) + 1)
         }
-        self.half_state: dict[tuple[int, int], np.ndarray] = {}
 
     def step(self, noise: tuple[dict, dict] | None = None) -> None:
         k = self.k
@@ -172,7 +173,6 @@ class DiscreteSimulation:
                     if j >= 2:
                         moved = np.minimum(moved, half[(l - 1, j - 1)])
                     new[(l, j)] = moved
-        self.half_state = half
         self.state = new
 
     def run(self, horizon: int) -> None:
@@ -183,11 +183,6 @@ class DiscreteSimulation:
         """Row l across paths, shape (n_paths, row_length(l))."""
         return np.stack(
             [self.state[(l, j)] for j in range(1, row_length(l) + 1)], axis=1
-        )
-
-    def half_row(self, l: int) -> np.ndarray:
-        return np.stack(
-            [self.half_state[(l, j)] for j in range(1, row_length(l) + 1)], axis=1
         )
 
     def patterns(self) -> list[Pattern]:
@@ -201,28 +196,6 @@ class DiscreteSimulation:
 def len_row_above(l: int) -> int:
     """Number of particles in row l-1 (0 when l = 1)."""
     return row_length(l - 1) if l >= 2 else 0
-
-
-def simulate_discrete(
-    q: Fraction | float,
-    k: int,
-    horizon: int,
-    n_paths: int,
-    seed: int,
-    record_rows: tuple[int, ...] = (),
-) -> dict:
-    """Run n_paths independent trajectories from the zero pattern.
-
-    Returns the final state arrays plus, for each l in record_rows, the row-l
-    marginal at every integer time.
-    """
-    sim = DiscreteSimulation(q, k, n_paths, seed)
-    recorded = {l: [sim.row(l)] for l in record_rows}
-    for _ in range(horizon):
-        sim.step()
-        for l in record_rows:
-            recorded[l].append(sim.row(l))
-    return {"sim": sim, "rows": recorded}
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +278,8 @@ def ctmc_simulate(k: int, t_max: float, n_paths: int, seed: int) -> CtmcResult:
     uniform among (particle, direction) pairs."""
     if t_max <= 0:
         raise ValueError("t_max must be > 0")
+    if k < 1 or n_paths < 1:
+        raise ValueError(f"need k >= 1 and n_paths >= 1, got k={k}, n_paths={n_paths}")
     rng = np.random.default_rng(seed)
     particles = _particles(k)
     total_rate = 2 * len(particles)

@@ -9,8 +9,15 @@ from fractions import Fraction
 import numpy as np
 
 from gtpatterns.dynamics import DiscreteSimulation, ctmc_simulate, semigroup_law
-from gtpatterns.kernels import SparseLaw, n_step_law, r_k_pmf, s_k_pmf, states_in_box
-from gtpatterns.patterns import Row, row_length
+from gtpatterns.kernels import (
+    SparseLaw,
+    enumerate_pair_states,
+    n_step_law,
+    propagate,
+    s_k_pmf,
+    states_in_box,  # unused here; perfbench/tracer.py patches this name
+)
+from gtpatterns.patterns import row_length
 from gtpatterns.spectra import simulate_eigen_chain
 from gtpatterns.stats import (
     empirical_law,
@@ -60,37 +67,17 @@ class ComparisonReport:
 # exact pair-state iteration (the pair kernel reads only y from the source)
 # ---------------------------------------------------------------------------
 
-def pair_states_in_box(k: int, radius: int) -> list[tuple[Row, Row]]:
-    from gtpatterns.kernels import enumerate_pair_states
-
-    return enumerate_pair_states(k, radius)
-
-
 def pair_n_step_law(q: Fraction, k: int, n: int, radius: int) -> SparseLaw:
     """Law of the (half-step, full-step) top-row pair after n steps from
     zero, truncated to the box.  Rows are cached per source y since the
     kernel does not read the source z."""
-    q = Fraction(q)
-    states = pair_states_in_box(k, radius)
-    zero = ((0,) * (k // 2), (0,) * row_length(k))
-    law: dict = {zero: Fraction(1)}
-    rows_by_y: dict = {}
-    for _ in range(n):
-        new: dict = {}
-        for (z, y), p in law.items():
-            row = rows_by_y.get(y)
-            if row is None:
-                row = {
-                    dst: s_k_pmf(q, k, (None, y), dst)
-                    for dst in states
-                }
-                row = {dst: v for dst, v in row.items() if v != 0}
-                rows_by_y[y] = row
-            for dst, v in row.items():
-                new[dst] = new.get(dst, Fraction(0)) + p * v
-        law = new
-    deficit = 1 - sum(law.values(), Fraction(0))
-    return SparseLaw(support=law, tail_deficit=deficit)
+    return propagate(
+        ((0,) * (k // 2), (0,) * row_length(k)),
+        n,
+        enumerate_pair_states(k, radius),
+        lambda y, dst: s_k_pmf(q, k, (None, y), dst),
+        key=lambda state: state[1],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +92,6 @@ def experiment_markov_marginal(
     seed: int,
     radius: int,
     threshold: float,
-    pair_check: bool = False,
-    pair_radius: int | None = None,
 ) -> ComparisonReport:
     """Empirical law of the top row after `horizon` steps against the exact
     n-step law of the top-row kernel."""
@@ -115,21 +100,6 @@ def experiment_markov_marginal(
     emp = empirical_law(rows_to_tuples(sim.row(k)))
     exact = n_step_law(Fraction(q), k, horizon, radius)
     tv = tv_distance(emp, exact_law_to_floats(exact.support))
-    details = {}
-    if pair_check:
-        pr = pair_radius if pair_radius is not None else radius
-        z_cols = k // 2
-        half = sim.half_row(k)[:, :z_cols]
-        pairs = [
-            (tuple(int(v) for v in half[p]), tuple(int(v) for v in sim.row(k)[p]))
-            for p in range(n_paths)
-        ]
-        pair_emp = empirical_law(pairs)
-        pair_exact = pair_n_step_law(Fraction(q), k, horizon, pr)
-        details["pair_tv"] = tv_distance(
-            pair_emp, exact_law_to_floats(pair_exact.support)
-        )
-        details["pair_deficit"] = float(pair_exact.tail_deficit)
     return ComparisonReport(
         name=f"markov-marginal k={k} n={horizon} q={q}",
         statistic="tv",
@@ -137,7 +107,6 @@ def experiment_markov_marginal(
         threshold=threshold,
         sample_sizes=(n_paths,),
         truncation_deficit=float(exact.tail_deficit),
-        details=details,
     )
 
 

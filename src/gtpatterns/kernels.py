@@ -8,10 +8,9 @@ carry an explicit tail deficit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable
 
 from gtpatterns.patterns import (
     Row,
@@ -19,8 +18,9 @@ from gtpatterns.patterns import (
     count_patterns,
     interlaces,
     is_nonneg_row,
-    is_signed_row,
+    lower_rows,
     row_length,
+    row_value_ok,
 )
 
 Q = Fraction
@@ -128,22 +128,6 @@ def s_dim(d: int, lam: Row) -> int:
     return count_patterns(d - 1, lam)
 
 
-def _weight_ok(d: int, lam: Row) -> bool:
-    if len(lam) != d // 2:
-        return False
-    return is_nonneg_row(lam) if d % 2 == 1 else is_signed_row(lam)
-
-
-def _box_ranges(boxes: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
-    yield from itertools.product(*[range(lo, hi + 1) for lo, hi in boxes])
-
-
-def _interlace_boxes_equal(lam: Row) -> list[tuple[int, int]]:
-    """Ranges of c (same length as lam, non-negative) with c interlacing lam."""
-    r = len(lam)
-    return [(lam[i + 1] if i < r - 1 else 0, lam[i]) for i in range(r)]
-
-
 def nu_pmf(q: Fraction, d: int, m: int) -> Fraction:
     """Jump-size mixing law: nu(m) = (1-q)^(d-1) q^m s_{d-1}(gamma_m)/(1+q)."""
     q = _check_q(q)
@@ -178,7 +162,7 @@ def pieri_decompose(d: int, lam: Row, m: int) -> dict[Row, int]:
     """
     if d < 3:
         raise ValueError("d must be >= 3")
-    if not _weight_ok(d, lam):
+    if not row_value_ok(d - 1, lam):
         raise ValueError(f"lam not a valid SO({d}) weight: {lam}")
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -186,81 +170,34 @@ def pieri_decompose(d: int, lam: Row, m: int) -> dict[Row, int]:
     mult: dict[Row, int] = {}
     if d % 2 == 1:
         # count (c, s) with c interlacing both lam and beta,
-        # sum(lam_i - c_i + beta_i - c_i) + s = m, s = 0 when c_r = 0
-        for c in _box_ranges(_interlace_boxes_equal(lam)):
+        # sum(lam_i - c_i + beta_i - c_i) + s = m, s = 0 when c_r = 0;
+        # beta = (beta_1,) + tail with c interlacing beta, beta_1 set by the sum
+        for c in lower_rows(r, lam):
             for s in (0, 1):
                 if s == 1 and c[-1] == 0:
                     continue
                 target = m - s - (sum(lam) - sum(c)) + sum(c)
-                # beta with beta_i in [c_i, c_{i-1}] (c_0 unbounded),
-                # sum(beta) = target
-                for beta in _rows_with_sum(c, target):
-                    mult[beta] = mult.get(beta, 0) + 1
+                for tail in lower_rows(r - 1, c):
+                    beta_1 = target - sum(tail)
+                    if beta_1 >= c[0]:
+                        beta = (beta_1,) + tail
+                        mult[beta] = mult.get(beta, 0) + 1
     else:
-        lam_abs = abs_row(lam)
-        boxes = [(lam_abs[i + 1], lam_abs[i]) for i in range(r - 1)]
-        for c in _box_ranges(boxes):
+        for c in lower_rows(r - 1, abs_row(lam)):
             base = sum(lam[: r - 1]) - 2 * sum(c)
             budget = m - base  # sum of beta_1..beta_{r-1} may not exceed this
-            if budget < sum(c):
-                continue
-            for head in _rows_with_bounded_sum(c, budget):
-                resid = budget - sum(head)  # = |lam_r - beta_r|
-                cap = c[-1]  # |beta_r| <= c_{r-1}
-                for beta_r in {lam[-1] - resid, lam[-1] + resid}:
-                    if abs(beta_r) > cap:
-                        continue
-                    beta = head + (beta_r,)
-                    if _weight_ok(d, beta):
-                        mult[beta] = mult.get(beta, 0) + 1
+            for tail in lower_rows(r - 2, c):
+                for beta_1 in range(c[0], budget - sum(tail) + 1):
+                    head = (beta_1,) + tail
+                    resid = budget - sum(head)  # = |lam_r - beta_r|
+                    cap = c[-1]  # |beta_r| <= c_{r-1}
+                    for beta_r in {lam[-1] - resid, lam[-1] + resid}:
+                        if abs(beta_r) > cap:
+                            continue
+                        beta = head + (beta_r,)
+                        if row_value_ok(d - 1, beta):
+                            mult[beta] = mult.get(beta, 0) + 1
     return mult
-
-
-def _rows_with_sum(c: Row, total: int) -> Iterator[Row]:
-    """Rows beta of len(c) with c_i <= beta_i <= c_{i-1} (c_0 unbounded) and
-    sum(beta) = total."""
-    r = len(c)
-    if total < sum(c):
-        return
-
-    def rec(i: int, prev_c: int | None, remaining: int, acc: list[int]) -> Iterator[Row]:
-        if i == r:
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        lo = c[i]
-        min_rest = sum(c[i + 1:])
-        hi = remaining - min_rest
-        if prev_c is not None:
-            hi = min(hi, prev_c)
-        for b in range(lo, hi + 1):
-            acc.append(b)
-            yield from rec(i + 1, c[i], remaining - b, acc)
-            acc.pop()
-
-    yield from rec(0, None, total, [])
-
-
-def _rows_with_bounded_sum(c: Row, budget: int) -> Iterator[Row]:
-    """Rows beta of len(c) with c_i <= beta_i <= c_{i-1} (c_0 unbounded)
-    and sum(beta) <= budget."""
-    r = len(c)
-
-    def rec(i: int, prev_c: int | None, remaining: int, acc: list[int]) -> Iterator[Row]:
-        if i == r:
-            yield tuple(acc)
-            return
-        lo = c[i]
-        hi = remaining - sum(c[i + 1:])
-        if prev_c is not None:
-            hi = min(hi, prev_c)
-        for b in range(lo, hi + 1):
-            acc.append(b)
-            yield from rec(i + 1, c[i], remaining - b, acc)
-            acc.pop()
-
-    if budget >= sum(c):
-        yield from rec(0, None, budget, [])
 
 
 def mu_pmf(d: int, lam: Row, m: int, beta: Row) -> Fraction:
@@ -279,37 +216,20 @@ def mu_pmf(d: int, lam: Row, m: int, beta: Row) -> Fraction:
 def p_d_closed(q: Fraction, d: int, lam: Row, beta: Row) -> Fraction:
     """Closed form of the kernel P_d(lam, beta)."""
     q = _check_q(q)
-    if not (_weight_ok(d, lam) and _weight_ok(d, beta)):
+    if not (row_value_ok(d - 1, lam) and row_value_ok(d - 1, beta)):
         raise ValueError(f"invalid SO({d}) weights: {lam}, {beta}")
     r = d // 2
     total = Q(0)
+    ratio = Fraction(s_dim(d, beta), s_dim(d, lam))
     if d % 2 == 1:
-        ratio = Fraction(s_dim(d, beta), s_dim(d, lam))
-        boxes = [
-            (
-                max(lam[i + 1] if i < r - 1 else 0, beta[i + 1] if i < r - 1 else 0),
-                min(lam[i], beta[i]),
-            )
-            for i in range(r)
-        ]
-        if any(lo > hi for lo, hi in boxes):
-            return Q(0)
-        for c in _box_ranges(boxes):
+        for c in lower_rows(r, lam, beta):
             term = (1 - q) ** (d - 1) * ratio * q ** (sum(lam) + sum(beta) - 2 * sum(c))
             if c[-1] == 0:
                 term /= 1 + q
             total += term
     else:
-        lam_abs, beta_abs = abs_row(lam), abs_row(beta)
-        ratio = Fraction(s_dim(d, beta), s_dim(d, lam))
-        boxes = [
-            (max(lam_abs[i + 1], beta_abs[i + 1]), min(lam_abs[i], beta_abs[i]))
-            for i in range(r - 1)
-        ]
-        if any(lo > hi for lo, hi in boxes):
-            return Q(0)
         expo_base = sum(lam[: r - 1]) + sum(beta[: r - 1]) + abs(lam[-1] - beta[-1])
-        for c in _box_ranges(boxes):
+        for c in lower_rows(r - 1, abs_row(lam), abs_row(beta)):
             total += (
                 (1 - q) ** (d - 1)
                 / (1 + q)
@@ -436,12 +356,10 @@ def q_k_pmf(
 
     odd = k % 2 == 1
     r = (k + 1) // 2 if odd else k // 2
-    # v ranges: v_i in [y2_{i+1}, min(x_i, z2_i)], v_0 = +infinity
-    v_boxes = [(y2[i + 1], min(x[i], z2[i])) for i in range(r - 1)]
-    if any(lo > hi for lo, hi in v_boxes):
-        return Q(0)
+    # v_i in [y2_{i+1}, min(x_i, z2_i)], v_0 = +infinity; x and z2 interlace
+    # y2, so this is the box of rows interlacing all three
     total = Q(0)
-    for v in _box_ranges(v_boxes):
+    for v in lower_rows(r - 1, y2, x, z2):
         ext = (None,) + v  # ext[i] = v_i with v_0 = None (unbounded)
 
         def v_min(a: int, i: int) -> int:
@@ -458,15 +376,11 @@ def q_k_pmf(
                 else reflected_right_pmf(q, b, min(y[r - 1], b), y2[r - 1])
             )
             term *= wall
-            for i in range(r - 1):
-                term *= blocked_left_pmf(q, u[i], v_min(y[i], i), z2[i])
-            for i in range(r - 1):
-                term *= _blocked_or_free_right(q, ext[i], max(z2[i], x[i]), y2[i])
-        else:
-            for i in range(r):
-                term *= blocked_left_pmf(q, u[i], v_min(y[i], i), z2[i])
-            for i in range(r):
-                term *= _blocked_or_free_right(q, ext[i], max(z2[i], x[i]), y2[i])
+        # the free coordinates: all r of them for even k, all but the wall for odd k
+        for i in range(len(x)):
+            term *= blocked_left_pmf(q, u[i], v_min(y[i], i), z2[i])
+        for i in range(len(x)):
+            term *= _blocked_or_free_right(q, ext[i], max(z2[i], x[i]), y2[i])
         total += term
     return total
 
@@ -538,28 +452,22 @@ def check_desintegration(q: Fraction, bound: int) -> IdentityReport:
 
 def enumerate_pair_states(k: int, bound: int) -> list[tuple[Row, Row]]:
     """All (z, y) in the level-k pair space with coordinates <= bound."""
-    states = []
-    for y in _all_rows(row_length(k), bound):
-        for z in _interlacing_rows(y, k // 2, bound):
-            states.append((z, y))
-    return states
-
-
-def _all_rows(length: int, bound: int) -> list[Row]:
-    if length == 0:
-        return [()]
     return [
-        row
-        for row in itertools.product(range(bound + 1), repeat=length)
-        if is_nonneg_row(row)
+        (z, y)
+        for y in _decreasing_rows(row_length(k), bound)
+        for z in lower_rows(k // 2, y)
     ]
 
 
-def _interlacing_rows(upper: Row, length: int, bound: int) -> list[Row]:
+def _decreasing_rows(length: int, bound: int) -> list[Row]:
+    """Non-negative weakly decreasing rows with entries <= bound, in
+    lexicographic order."""
+    if length == 0:
+        return [()]
     return [
-        row
-        for row in _all_rows(length, bound)
-        if interlaces(row, upper)
+        (a,) + rest
+        for a in range(bound + 1)
+        for rest in _decreasing_rows(length - 1, a)
     ]
 
 
@@ -582,9 +490,9 @@ def check_intertwining(q: Fraction, k: int, bound: int) -> IntertwiningReport:
     report = IntertwiningReport()
     pairs = enumerate_pair_states(k, bound)
     for z, y in pairs:
-        us = _interlacing_rows(y, k // 2, max(y) if y else 0)
+        us = list(lower_rows(k // 2, y))
         for z2, y2 in pairs:
-            for x in _interlacing_rows(y2, k // 2, max(y2) if y2 else 0):
+            for x in lower_rows(k // 2, y2):
                 lhs = sum(
                     (
                         l_k_pmf(k, (z, y), (u, z, y))
@@ -619,31 +527,41 @@ class SparseLaw:
     def total_mass(self) -> Fraction:
         return sum(self.support.values(), Q(0))
 
-    def as_floats(self) -> dict:
-        return {s: float(p) for s, p in self.support.items()}
-
-
-class TruncationError(RuntimeError):
-    def __init__(self, deficit: Fraction, tolerance: Fraction):
-        self.deficit = deficit
-        super().__init__(
-            f"truncation deficit {float(deficit):.3e} exceeds tolerance "
-            f"{float(tolerance):.3e}; increase the radius"
-        )
-
 
 def states_in_box(k: int, radius: int) -> list[Row]:
     """Non-negative weakly decreasing rows of length (k+1)//2, coords <= radius."""
-    return _all_rows(row_length(k), radius)
+    return _decreasing_rows(row_length(k), radius)
 
 
-def n_step_law(
-    q: Fraction,
-    k: int,
+def propagate(
+    start,
     n: int,
-    radius: int,
-    tolerance: Fraction | None = None,
+    states: list,
+    pmf: Callable,
+    key: Callable | None = None,
 ) -> SparseLaw:
+    """Law after n steps from start of the chain with kernel pmf(key(x), y),
+    truncated to states.  The kernel row from x depends on key(x) alone
+    (x itself when key is None), is computed once per key over states, and
+    keeps only its nonzero entries.  The deficit is the mass that left states.
+    """
+    law = {start: Q(1)}
+    rows: dict = {}
+    for _ in range(n):
+        new: dict = {}
+        for x, px in law.items():
+            source = x if key is None else key(x)
+            row = rows.get(source)
+            if row is None:
+                row = [(y, p) for y in states if (p := pmf(source, y)) != 0]
+                rows[source] = row
+            for y, pxy in row:
+                new[y] = new.get(y, Q(0)) + px * pxy
+        law = new
+    return SparseLaw(support=law, tail_deficit=1 - sum(law.values(), Q(0)))
+
+
+def n_step_law(q: Fraction, k: int, n: int, radius: int) -> SparseLaw:
     """Law of the top row after n steps from zero, truncated to the box
     [0, radius].  The deficit is exact: R_k rows sum to one, so any mass
     missing from the box is mass that escaped it.
@@ -651,25 +569,6 @@ def n_step_law(
     q = _check_q(q)
     if n < 1:
         raise ValueError("n must be >= 1")
-    states = states_in_box(k, radius)
-    zero = (0,) * row_length(k)
-    law: dict[Row, Fraction] = {zero: Q(1)}
-    row_cache: dict[Row, dict[Row, Fraction]] = {}
-    for _ in range(n):
-        new: dict[Row, Fraction] = {}
-        for x, px in law.items():
-            if px == 0:
-                continue
-            row = row_cache.get(x)
-            if row is None:
-                row = {y: r_k_pmf(q, k, x, y) for y in states}
-                row_cache[x] = row
-            for y, pxy in row.items():
-                if pxy != 0:
-                    new[y] = new.get(y, Q(0)) + px * pxy
-        law = new
-    deficit = 1 - sum(law.values(), Q(0))
-    result = SparseLaw(support=law, tail_deficit=deficit)
-    if tolerance is not None and deficit > tolerance:
-        raise TruncationError(deficit, Fraction(tolerance))
-    return result
+    return propagate(
+        (0,) * row_length(k), n, states_in_box(k, radius), lambda x, y: r_k_pmf(q, k, x, y)
+    )

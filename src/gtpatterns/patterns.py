@@ -86,14 +86,21 @@ def pattern_is_valid(pattern: Pattern) -> bool:
     return True
 
 
-def _lower_row_boxes(upper: Row, length: int) -> list[tuple[int, int]]:
-    """Per-coordinate [lo, hi] ranges for rows x with |x| interlacing upper."""
-    n = len(upper)
-    if length == n:
-        return [(upper[i + 1] if i < n - 1 else 0, upper[i]) for i in range(n)]
-    if length == n - 1:
-        return [(upper[i + 1], upper[i]) for i in range(n - 1)]
-    raise ValueError(f"target length must be {n - 1} or {n}, got {length}")
+def lower_rows(length: int, *uppers: Row) -> Iterator[Row]:
+    """The non-negative rows of the given length that interlace every row in
+    uppers, in lexicographic order.  Each upper row must be non-negative and
+    weakly decreasing, of the given length or one longer.
+
+    Coordinate i ranges over [max_u u_{i+1}, min_u u_i], with u_{i+1} = 0
+    past the end of u; these ranges make every product row weakly decreasing.
+    """
+    return itertools.product(*[
+        range(
+            max(u[i + 1] if i + 1 < len(u) else 0 for u in uppers),
+            min(u[i] for u in uppers) + 1,
+        )
+        for i in range(length)
+    ])
 
 
 def enumerate_lower_rows(upper: Row, length: int, signed_last: bool) -> list[Row]:
@@ -103,9 +110,11 @@ def enumerate_lower_rows(upper: Row, length: int, signed_last: bool) -> list[Row
     """
     if not is_nonneg_row(upper):
         raise ValueError(f"upper row must be non-negative weakly decreasing: {upper}")
-    boxes = _lower_row_boxes(upper, length)
+    n = len(upper)
+    if length not in (n - 1, n):
+        raise ValueError(f"target length must be {n - 1} or {n}, got {length}")
     rows: list[Row] = []
-    for combo in itertools.product(*[range(lo, hi + 1) for lo, hi in boxes]):
+    for combo in lower_rows(length, upper):
         rows.append(combo)
         if signed_last and combo and combo[-1] > 0:
             rows.append(combo[:-1] + (-combo[-1],))

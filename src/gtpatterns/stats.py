@@ -43,16 +43,6 @@ def ks_two_sample(xs, ys) -> float:
     return float(np.max(np.abs(fx - fy)))
 
 
-def law_support_as_scalars(law: dict) -> dict:
-    """Collapse 1-tuple keys to plain ints, for 1-d state spaces."""
-    out = {}
-    for s, p in law.items():
-        if isinstance(s, tuple) and len(s) == 1:
-            s = s[0]
-        out[s] = p
-    return out
-
-
 def exact_law_to_floats(law: dict) -> dict:
     return {s: float(p) for s, p in law.items()}
 

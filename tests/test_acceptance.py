@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gtpatterns.dynamics import DiscreteSimulation, ctmc_simulate, semigroup_law
 from gtpatterns.experiments import (
     estimate_wall_rate,
+    experiment_ctmc_marginal,
     experiment_large_q,
     experiment_markov_marginal,
     experiment_small_q,
@@ -39,7 +39,6 @@ from gtpatterns.spectra import (
     sample_increment,
     top_spectrum,
 )
-from gtpatterns.stats import empirical_law, tv_distance
 
 Q = Fraction
 
@@ -188,10 +187,9 @@ def test_07_continuous_time_generator(capsys):
     """The exponential-clock top row follows the ratio-of-dimensions
     generator: law at t=1 matches the matrix exponential, and the doubled
     wall rate is recovered empirically."""
-    res = ctmc_simulate(2, 1.0, 100_000, seed=201)
-    emp = empirical_law([p[1] for p in res.patterns])
-    ref = semigroup_law(2, 25, 1.0)
-    tv = tv_distance(emp, ref)
+    tv = experiment_ctmc_marginal(
+        k=2, t_max=1.0, n_paths=100_000, seed=201, radius=25, threshold=0.02
+    ).value
     rate = estimate_wall_rate(2.0, 20_000, seed=202)
     ok = tv < 0.02 and abs(rate - 2.0) / 2.0 < 0.05
     announce(

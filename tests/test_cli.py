@@ -62,3 +62,28 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["count"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--k", "3", "--lambda", "1,2"],
+        ["kernel", "r", "--q", "2"],
+        ["pieri", "--d", "2", "--lambda", "1", "--m", "1"],
+        ["intertwine", "--k", "1", "--q", "1/2", "--bound", "2"],
+        ["ctmc", "--k", "1", "--t-max", "-1"],
+        ["ctmc", "--k", "0", "--t-max", "1"],
+        ["ctmc", "--k", "1", "--t-max", "1", "--paths", "0"],
+        ["simulate", "--k", "0", "--q", "1/2", "--horizon", "1"],
+        ["simulate", "--k", "2", "--q", "1/2", "--horizon", "1", "--paths", "0"],
+        ["experiment", "small-q", "--k", "1", "--q", "1/2"],
+        ["experiment", "large-q", "--k", "1", "--q", "1/2"],
+    ],
+)
+def test_domain_error_is_one_line_and_exit_code_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gtpatterns: error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

@@ -1,5 +1,7 @@
 """Pattern combinatorics: interlacing, enumeration, counting, dimensions."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,8 @@ from gtpatterns.patterns import (
     enumerate_lower_rows,
     enumerate_patterns,
     interlaces,
+    is_nonneg_row,
+    lower_rows,
     pattern_is_valid,
     row_length,
     weyl_dimension,
@@ -63,6 +67,25 @@ class TestPatternValidity:
     def test_interlacing_enforced(self):
         assert not pattern_is_valid(((2,), (1,)))
         assert pattern_is_valid(((1,), (2,), (2, 0)))
+
+
+@given(length=st.integers(0, 3), n_uppers=st.integers(1, 3), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_lower_rows_is_the_interlacing_filter(length, n_uppers, data):
+    """lower_rows gives exactly the brute-force filter of all rows with
+    entries up to the largest upper entry, in the same order."""
+    uppers = []
+    for _ in range(n_uppers):
+        n = data.draw(st.sampled_from([length, length + 1]))
+        entries = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        uppers.append(tuple(sorted(entries, reverse=True)))
+    top = max((e for u in uppers for e in u), default=0)
+    brute = [
+        row
+        for row in itertools.product(range(top + 1), repeat=length)
+        if is_nonneg_row(row) and all(interlaces(row, u) for u in uppers)
+    ]
+    assert list(lower_rows(length, *uppers)) == brute
 
 
 def test_enumerate_lower_rows_signed_duplicates():
