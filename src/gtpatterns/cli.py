@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from gtpatterns import dynamics, experiments, kernels, patterns
-from gtpatterns.stats import fraction_or_float
 
 
 def _parse_row(text: str) -> tuple[int, ...]:
@@ -23,8 +23,10 @@ def _parse_row(text: str) -> tuple[int, ...]:
 
 
 def _parse_q(text: str) -> Fraction:
-    value = fraction_or_float(text)
-    return value if isinstance(value, Fraction) else Fraction(value).limit_denominator(10**9)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"q has a zero denominator: {text}") from None
 
 
 def _emit(args, payload: dict) -> None:
@@ -84,21 +86,14 @@ def _cmd_simulate(args) -> int:
         float(_parse_q(args.q)), args.k, args.paths, args.seed
     )
     sim.run(args.horizon)
-    rows = sim.row(args.k)
-    hist: dict = {}
-    for row in rows:
-        key = ",".join(str(int(v)) for v in row)
-        hist[key] = hist.get(key, 0) + 1
+    hist = Counter(",".join(str(int(v)) for v in row) for row in sim.row(args.k))
     _emit(args, {"experiment": "simulate", "k": args.k, "histogram": hist})
     return 0
 
 
 def _cmd_ctmc(args) -> int:
     res = dynamics.ctmc_simulate(args.k, args.t_max, args.paths, args.seed)
-    hist: dict = {}
-    for pat in res.patterns:
-        key = ";".join(",".join(map(str, row)) for row in pat)
-        hist[key] = hist.get(key, 0) + 1
+    hist = Counter(";".join(",".join(map(str, row)) for row in pat) for pat in res.patterns)
     _emit(args, {"experiment": "ctmc", "k": args.k, "histogram": hist})
     return 0
 

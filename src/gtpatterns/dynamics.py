@@ -8,6 +8,12 @@ Two models share the same blocking/pushing geometry:
 * a continuous-time model where every particle attempts unit jumps after
   independent rate-1 exponential clocks.
 
+Particle (l, j) is the j-th entry of row l.  Both simulators key their
+state by particle, and the keys present are the pattern's geometry: the
+upper-left neighbour of (l, j) is (l-1, j-1), the particle above it is
+(l-1, j), and a wall particle is one with no particle above; it reflects
+at 0.
+
 The single-step updates are pure functions of (state, noise).  The Monte
 Carlo simulators are vectorized over paths; a property test pins the
 vectorized step to the scalar one.
@@ -26,6 +32,11 @@ from gtpatterns.patterns import Pattern, Row, count_patterns, row_length, zero_p
 INF = math.inf
 
 
+def particles(k: int) -> list[tuple[int, int]]:
+    """The particles (l, j) of a k-row pattern, row by row."""
+    return [(l, j) for l in range(1, k + 1) for j in range(1, row_length(l) + 1)]
+
+
 @dataclass(frozen=True)
 class NoiseDraw:
     """One full step worth of geometric draws, indexed by particle (l, j)."""
@@ -35,7 +46,7 @@ class NoiseDraw:
 
     @staticmethod
     def zero(k: int) -> "NoiseDraw":
-        keys = [(l, j) for l in range(1, k + 1) for j in range(1, row_length(l) + 1)]
+        keys = particles(k)
         return NoiseDraw({key: 0 for key in keys}, {key: 0 for key in keys})
 
 
@@ -124,14 +135,9 @@ class DiscreteSimulation:
         self.k = k
         self.n_paths = n_paths
         self.rng = np.random.default_rng(seed)
-        self.state = {
-            (l, j): np.zeros(n_paths, dtype=np.int64)
-            for l in range(1, k + 1)
-            for j in range(1, row_length(l) + 1)
-        }
+        self.state = {key: np.zeros(n_paths, dtype=np.int64) for key in particles(k)}
 
     def step(self, noise: tuple[dict, dict] | None = None) -> None:
-        k = self.k
         if noise is None:
             q, rng, n = self.q, self.rng, self.n_paths
             xi_half = {key: geometric_draws(rng, q, n) for key in self.state}
@@ -142,37 +148,26 @@ class DiscreteSimulation:
         # left half-step
         old = self.state
         half: dict[tuple[int, int], np.ndarray] = {}
-        for l in range(1, k + 1):
-            m = row_length(l)
-            for j in range(1, m + 1):
-                tilde = old[(l, j)]
-                if j >= 2:
-                    tilde = np.minimum(tilde, half[(l - 1, j - 1)])
-                if j <= l // 2:
-                    half[(l, j)] = np.maximum(
-                        old[(l - 1, j)], tilde - xi_half[(l, j)]
-                    )
-                else:
-                    half[(l, j)] = tilde.copy()
+        for l, j in old:
+            tilde = old[(l, j)]
+            if (l - 1, j - 1) in old:
+                tilde = np.minimum(tilde, half[(l - 1, j - 1)])
+            # a free particle jumps, blocked by the old particle above; a
+            # wall particle only moves if pushed
+            if (l - 1, j) in old:
+                tilde = np.maximum(old[(l - 1, j)], tilde - xi_half[(l, j)])
+            half[(l, j)] = tilde
 
         # right full-step
         new: dict[tuple[int, int], np.ndarray] = {}
-        for l in range(1, k + 1):
-            m = row_length(l)
-            for j in range(1, m + 1):
-                if l % 2 == 1 and j == m:
-                    moved = np.abs(half[(l, j)] + xi_full[(l, j)] - xi_half[(l, j)])
-                    if l >= 2:
-                        moved = np.minimum(moved, half[(l - 1, j - 1)])
-                    new[(l, j)] = moved
-                else:
-                    tilde = half[(l, j)]
-                    if j <= len_row_above(l):
-                        tilde = np.maximum(new[(l - 1, j)], tilde)
-                    moved = tilde + xi_full[(l, j)]
-                    if j >= 2:
-                        moved = np.minimum(moved, half[(l - 1, j - 1)])
-                    new[(l, j)] = moved
+        for l, j in old:
+            if (l - 1, j) in old:
+                moved = np.maximum(new[(l - 1, j)], half[(l, j)]) + xi_full[(l, j)]
+            else:
+                moved = np.abs(half[(l, j)] + xi_full[(l, j)] - xi_half[(l, j)])
+            if (l - 1, j - 1) in old:
+                moved = np.minimum(moved, half[(l - 1, j - 1)])
+            new[(l, j)] = moved
         self.state = new
 
     def run(self, horizon: int) -> None:
@@ -193,65 +188,46 @@ class DiscreteSimulation:
         ]
 
 
-def len_row_above(l: int) -> int:
-    """Number of particles in row l-1 (0 when l = 1)."""
-    return row_length(l - 1) if l >= 2 else 0
-
-
 # ---------------------------------------------------------------------------
 # continuous-time model
 # ---------------------------------------------------------------------------
 
-def _particles(k: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, k + 1) for j in range(1, row_length(i) + 1)]
-
-
-def _ctmc_right(y: dict, k: int, i: int, j: int) -> None:
+def _ctmc_right(y: dict, i: int, j: int) -> None:
     """Rightward attempt of particle (i, j): blocked by the upper-left
     neighbour, otherwise pushes the maximal equal stack below it."""
-    if i >= 2 and j >= 2 and y[(i, j)] == y[(i - 1, j - 1)]:
-        return
     value = y[(i, j)]
-    l = 0
-    while (
-        i + l + 1 <= k
-        and j <= row_length(i + l + 1)
-        and y[(i + l + 1, j)] == value
-    ):
-        l += 1
-    for step in range(l + 1):
-        y[(i + step, j)] += 1
+    if (i - 1, j - 1) in y and y[(i - 1, j - 1)] == value:
+        return
+    while (i, j) in y and y[(i, j)] == value:
+        y[(i, j)] += 1
+        i += 1
 
 
-def _ctmc_left(y: dict, k: int, i: int, j: int) -> None:
+def _ctmc_left(y: dict, i: int, j: int) -> None:
     """Leftward attempt of particle (i, j): wall particles reflect at zero,
     free particles are blocked below or push the maximal equal diagonal."""
-    wall = i % 2 == 1 and j == (i + 1) // 2
-    if wall:
-        if y[(i, j)] == 0:
-            _ctmc_right(y, k, i, j)
+    value = y[(i, j)]
+    if (i - 1, j) not in y:
+        if value == 0:
+            _ctmc_right(y, i, j)
         else:
             y[(i, j)] -= 1
         return
-    if y[(i, j)] == y[(i - 1, j)]:
+    if y[(i - 1, j)] == value:
         return
-    value = y[(i, j)]
-    l = 0
-    while (
-        i + l + 1 <= k
-        and j + l + 1 <= row_length(i + l + 1)
-        and y[(i + l + 1, j + l + 1)] == value
-    ):
-        l += 1
-    for step in range(l + 1):
-        y[(i + step, j + step)] -= 1
+    while (i, j) in y and y[(i, j)] == value:
+        y[(i, j)] -= 1
+        i += 1
+        j += 1
 
 
 def ctmc_apply_event(y: dict, k: int, i: int, j: int, direction: str) -> None:
+    """Apply one clock ring of particle (i, j) to the k-row state y; the
+    rules read the neighbours from the keys of y."""
     if direction == "right":
-        _ctmc_right(y, k, i, j)
+        _ctmc_right(y, i, j)
     elif direction == "left":
-        _ctmc_left(y, k, i, j)
+        _ctmc_left(y, i, j)
     else:
         raise ValueError(f"unknown direction {direction!r}")
 
@@ -281,31 +257,31 @@ def ctmc_simulate(k: int, t_max: float, n_paths: int, seed: int) -> CtmcResult:
     if k < 1 or n_paths < 1:
         raise ValueError(f"need k >= 1 and n_paths >= 1, got k={k}, n_paths={n_paths}")
     rng = np.random.default_rng(seed)
-    particles = _particles(k)
-    total_rate = 2 * len(particles)
+    keys = particles(k)
+    top_keys = [key for key in keys if key[0] == k]
+    total_rate = 2 * len(keys)
     finals: list[Pattern] = []
     top_time: dict[Row, float] = {}
     top_jumps: dict[tuple[Row, Row], int] = {}
-    top = k
     for _ in range(n_paths):
-        y = {p: 0 for p in particles}
+        y = {key: 0 for key in keys}
+        top = (0,) * len(top_keys)
         t = 0.0
         while True:
             dt = rng.exponential(1.0 / total_rate)
             if t + dt > t_max:
-                row = ctmc_state_as_pattern(y, k)[top - 1]
-                top_time[row] = top_time.get(row, 0.0) + (t_max - t)
+                top_time[top] = top_time.get(top, 0.0) + (t_max - t)
                 break
             idx = rng.integers(0, total_rate)
-            i, j = particles[idx // 2]
+            i, j = keys[idx // 2]
             direction = "right" if idx % 2 == 0 else "left"
-            before = ctmc_state_as_pattern(y, k)[top - 1]
             ctmc_apply_event(y, k, i, j, direction)
-            after = ctmc_state_as_pattern(y, k)[top - 1]
-            top_time[before] = top_time.get(before, 0.0) + dt
-            if after != before:
-                key = (before, after)
-                top_jumps[key] = top_jumps.get(key, 0) + 1
+            after = tuple(y[key] for key in top_keys)
+            top_time[top] = top_time.get(top, 0.0) + dt
+            if after != top:
+                jump = (top, after)
+                top_jumps[jump] = top_jumps.get(jump, 0) + 1
+                top = after
             t += dt
         finals.append(ctmc_state_as_pattern(y, k))
     return CtmcResult(finals, top_time, top_jumps)

@@ -10,11 +10,7 @@ import numpy as np
 
 from gtpatterns.dynamics import DiscreteSimulation, ctmc_simulate, semigroup_law
 from gtpatterns.kernels import (
-    SparseLaw,
-    enumerate_pair_states,
     n_step_law,
-    propagate,
-    s_k_pmf,
     states_in_box,  # unused here; perfbench/tracer.py patches this name
 )
 from gtpatterns.patterns import row_length
@@ -61,23 +57,6 @@ class ComparisonReport:
             "truncation_deficit": self.truncation_deficit,
             "details": self.details,
         }
-
-
-# ---------------------------------------------------------------------------
-# exact pair-state iteration (the pair kernel reads only y from the source)
-# ---------------------------------------------------------------------------
-
-def pair_n_step_law(q: Fraction, k: int, n: int, radius: int) -> SparseLaw:
-    """Law of the (half-step, full-step) top-row pair after n steps from
-    zero, truncated to the box.  Rows are cached per source y since the
-    kernel does not read the source z."""
-    return propagate(
-        ((0,) * (k // 2), (0,) * row_length(k)),
-        n,
-        enumerate_pair_states(k, radius),
-        lambda y, dst: s_k_pmf(q, k, (None, y), dst),
-        key=lambda state: state[1],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,8 @@ def mu_pmf(d: int, lam: Row, m: int, beta: Row) -> Fraction:
 def p_d_closed(q: Fraction, d: int, lam: Row, beta: Row) -> Fraction:
     """Closed form of the kernel P_d(lam, beta)."""
     q = _check_q(q)
+    if d < 3:
+        raise ValueError("d must be >= 3")
     if not (row_value_ok(d - 1, lam) and row_value_ok(d - 1, beta)):
         raise ValueError(f"invalid SO({d}) weights: {lam}, {beta}")
     r = d // 2
@@ -538,23 +540,21 @@ def propagate(
     n: int,
     states: list,
     pmf: Callable,
-    key: Callable | None = None,
 ) -> SparseLaw:
-    """Law after n steps from start of the chain with kernel pmf(key(x), y),
-    truncated to states.  The kernel row from x depends on key(x) alone
-    (x itself when key is None), is computed once per key over states, and
-    keeps only its nonzero entries.  The deficit is the mass that left states.
+    """Law after n steps from start of the chain with kernel pmf(x, y),
+    truncated to states.  The kernel row from x is computed once over states
+    and keeps only its nonzero entries.  The deficit is the mass that left
+    states.
     """
     law = {start: Q(1)}
     rows: dict = {}
     for _ in range(n):
         new: dict = {}
         for x, px in law.items():
-            source = x if key is None else key(x)
-            row = rows.get(source)
+            row = rows.get(x)
             if row is None:
-                row = [(y, p) for y in states if (p := pmf(source, y)) != 0]
-                rows[source] = row
+                row = [(y, p) for y in states if (p := pmf(x, y)) != 0]
+                rows[x] = row
             for y, pxy in row:
                 new[y] = new.get(y, Q(0)) + px * pxy
         law = new

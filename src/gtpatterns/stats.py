@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 
@@ -45,10 +43,3 @@ def ks_two_sample(xs, ys) -> float:
 
 def exact_law_to_floats(law: dict) -> dict:
     return {s: float(p) for s, p in law.items()}
-
-
-def fraction_or_float(text: str) -> Fraction | float:
-    """Parse q from the CLI: 'num/den' is exact, a decimal is floating."""
-    if "/" in text:
-        return Fraction(text)
-    return float(text)

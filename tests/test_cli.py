@@ -23,6 +23,13 @@ def test_kernel_value(capsys):
     assert capsys.readouterr().out.startswith("1/6")
 
 
+def test_decimal_q_is_read_exactly(capsys):
+    assert main(["kernel", "r", "--q", "0.25"]) == 0
+    decimal = capsys.readouterr().out
+    assert main(["kernel", "r", "--q", "1/4"]) == 0
+    assert decimal == capsys.readouterr().out
+
+
 def test_intertwine_passes(capsys):
     assert main(["intertwine", "--k", "2", "--q", "1/2", "--bound", "2"]) == 0
     assert "max discrepancy 0" in capsys.readouterr().out
@@ -78,6 +85,8 @@ def test_usage_error_exit_code():
         ["simulate", "--k", "2", "--q", "1/2", "--horizon", "1", "--paths", "0"],
         ["experiment", "small-q", "--k", "1", "--q", "1/2"],
         ["experiment", "large-q", "--k", "1", "--q", "1/2"],
+        ["kernel", "r", "--q", "1/0"],
+        ["kernel", "pd", "--q", "1/2", "--d", "2", "--x", "1", "--y", "0"],
     ],
 )
 def test_domain_error_is_one_line_and_exit_code_2(argv, capsys):

@@ -188,6 +188,16 @@ class TestCtmc:
         for pat in res.patterns:
             assert pattern_is_valid(pat)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_top_row_bookkeeping(self, k):
+        n_paths, t_max = 300, 1.5
+        res = ctmc_simulate(k, t_max, n_paths, seed=k)
+        total = sum(res.top_row_time.values())
+        assert total == pytest.approx(n_paths * t_max, rel=1e-9)
+        for a, b in res.top_row_jumps:
+            diffs = [bj - aj for aj, bj in zip(a, b)]
+            assert sorted(map(abs, diffs)) == [0] * (len(a) - 1) + [1]
+
     def test_interlacing_preserved_under_all_events(self):
         rng = np.random.default_rng(11)
         k = 5

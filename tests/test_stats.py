@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from gtpatterns.experiments import ComparisonReport, pair_n_step_law
-from gtpatterns.kernels import s_k_pmf
+from gtpatterns.experiments import ComparisonReport
 from gtpatterns.stats import (
     empirical_law,
     exact_law_to_floats,
-    fraction_or_float,
     ks_two_sample,
     rows_to_tuples,
     tv_distance,
@@ -62,14 +60,6 @@ class TestKs:
         assert ks_two_sample(xs, xs) == 0.0
 
 
-class TestParsing:
-    def test_exact_fraction(self):
-        assert fraction_or_float("2/3") == Q(2, 3)
-
-    def test_decimal(self):
-        assert fraction_or_float("0.25") == 0.25
-
-
 class TestComparisonReport:
     def test_pass_fail(self):
         good = ComparisonReport("x", "tv", 0.01, 0.05, (10,))
@@ -88,18 +78,6 @@ class TestComparisonReport:
 
 
 class TestPairLaw:
-    def test_one_step_matches_kernel(self):
-        q, k = Q(1, 2), 2
-        law = pair_n_step_law(q, k, 1, 12)
-        src = (None, (0,))
-        for (z, y), p in law.support.items():
-            assert p == s_k_pmf(q, k, src, (z, y))
-
-    def test_mass_accounting(self):
-        law = pair_n_step_law(Q(1, 2), 3, 2, 14)
-        assert law.total_mass() + law.tail_deficit == 1
-        assert law.tail_deficit < Q(1, 50)
-
     def test_exact_law_to_floats(self):
         out = exact_law_to_floats({(0,): Q(1, 4)})
         assert out == {(0,): 0.25}
