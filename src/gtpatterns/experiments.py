@@ -135,6 +135,8 @@ def experiment_small_q(
 ) -> ComparisonReport:
     """With q = 1/N the discrete model run for [N t] steps approaches the
     exponential-clock model at time t; compare full-pattern laws by TV."""
+    if big_n < 2:
+        raise ValueError("big_n must be >= 2")
     sim = DiscreteSimulation(1.0 / big_n, k, n_paths_discrete, seed)
     sim.run(int(big_n * t_max))
     x_law = empirical_law(sim.patterns())
@@ -160,6 +162,8 @@ def experiment_large_q(
 ) -> ComparisonReport:
     """With q = 1 - 1/N the rescaled top row X^k(n)/N approaches the
     eigenvalue chain with d = k + 1; per-coordinate two-sample KS."""
+    if big_n < 2:
+        raise ValueError("big_n must be >= 2")
     d = k + 1
     sim = DiscreteSimulation(1.0 - 1.0 / big_n, k, n_samples, seed)
     sim.run(n_steps)

@@ -1,7 +1,11 @@
 """Random-matrix limit objects: the antisymmetric Gaussian matrix chain,
 its top eigenvalues, and the continuous transition density they follow.
 
-Everything here is floating point; tolerances are stated per test.
+Everything here is floating point; tolerances are stated per test. The
+scalar functions h_d, m_d and p_d_density take any sequence of coordinates
+(tuple, list or ndarray), convert it once and compute on Python floats:
+they sit inside quadratures, where numpy scalar arithmetic would cost more
+than the arithmetic itself.
 """
 
 from __future__ import annotations
@@ -43,8 +47,12 @@ def simulate_eigen_chain(
     Returns an array of shape (n_steps, n_paths, d//2): the spectrum after
     each accumulated increment.
     """
+    if d < 2:
+        raise ValueError("d must be >= 2")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     rng = np.random.default_rng(seed)
     acc = np.zeros((n_paths, d, d))
     out = np.empty((n_steps, n_paths, d // 2))
@@ -57,27 +65,48 @@ def simulate_eigen_chain(
     return out
 
 
-def h_d(d: int, lam) -> float:
-    """The continuous dimension function: a normalized product of spectral
-    differences and sums, with a linear factor per coordinate when d is odd."""
-    lam = np.asarray(lam, dtype=float)
-    r = d // 2
-    if lam.shape != (r,):
-        raise ValueError(f"lam must have length {r}")
-    eps = d % 2
+_H_D_NORMS: dict[int, float] = {}
+
+
+def _h_d_norm(d: int) -> float:
+    """The normalizer of h_d, which depends on d only; computed once per d."""
+    c = _H_D_NORMS.get(d)
+    if c is None:
+        r = d // 2
+        c = 1.0
+        for i in range(1, r + 1):
+            for j in range(i + 1, r + 1):
+                c *= (j - i) * (d - j - i)
+            if d % 2:
+                c *= r + 0.5 - i
+        _H_D_NORMS[d] = c
+    return c
+
+
+def _floats(v, r: int, name: str) -> tuple[float, ...]:
+    """The sequence v as a tuple of Python floats, which must number r."""
+    v = tuple(map(float, v))
+    if len(v) != r:
+        raise ValueError(f"{name} must have length {r}")
+    return v
+
+
+def _h(d: int, lam: tuple[float, ...]) -> float:
+    """h_d on coordinates already converted by _floats."""
+    r = len(lam)
     v = 1.0
     for i in range(r):
         for j in range(i + 1, r):
             v *= (lam[i] - lam[j]) * (lam[i] + lam[j])
-    if eps:
-        v *= float(np.prod(lam))
-    c = 1.0
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            c *= (j - i) * (d - j - i)
-        if eps:
-            c *= r + 0.5 - i
-    return v / c
+    if d % 2:
+        v *= math.prod(lam)
+    return v / _h_d_norm(d)
+
+
+def h_d(d: int, lam) -> float:
+    """The continuous dimension function: a normalized product of spectral
+    differences and sums, with a linear factor per coordinate when d is odd."""
+    return _h(d, _floats(lam, d // 2, "lam"))
 
 
 def h_d_degree(d: int) -> int:
@@ -86,16 +115,9 @@ def h_d_degree(d: int) -> int:
     return r * (r - 1) + (d % 2) * r
 
 
-def m_d(d: int, x, y) -> float:
-    """Closed form of the interlacing integral in the transition density.
-
-    The integral over z with z interlacing both x and y factorizes into
-    per-coordinate integrals of e^{2z} over [L_i, U_i]."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = d // 2
-    if x.shape != (r,) or y.shape != (r,):
-        raise ValueError(f"x, y must have length {r}")
+def _m(d: int, x: tuple[float, ...], y: tuple[float, ...]) -> float:
+    """m_d on coordinates already converted by _floats."""
+    r = len(x)
     if d % 2 == 1:
         value = 1.0
         for i in range(r):
@@ -121,13 +143,25 @@ def m_d(d: int, x, y) -> float:
     return value
 
 
+def m_d(d: int, x, y) -> float:
+    """Closed form of the interlacing integral in the transition density.
+
+    The integral over z with z interlacing both x and y factorizes into
+    per-coordinate integrals of e^{2z} over [L_i, U_i]."""
+    r = d // 2
+    return _m(d, _floats(x, r, "x, y"), _floats(y, r, "x, y"))
+
+
 def p_d_density(d: int, x, y) -> float:
     """Transition density of the top-eigenvalue chain:
     p_d(x, y) = h_d(y) m_d(x, y) / h_d(x), for x in the open cone."""
-    hx = h_d(d, x)
-    if hx == 0.0:
+    # a wrong length is reported as h_d reports it
+    x = _floats(x, d // 2, "lam")
+    hx = _h(d, x)
+    if not hx > 0.0:
         raise ValueError("x must lie in the interior of the spectral cone")
-    return h_d(d, y) * m_d(d, x, y) / hx
+    y = _floats(y, d // 2, "lam")
+    return _h(d, y) * _m(d, x, y) / hx
 
 
 def m_d_monte_carlo(

@@ -87,6 +87,8 @@ def test_usage_error_exit_code():
         ["experiment", "large-q", "--k", "1", "--q", "1/2"],
         ["kernel", "r", "--q", "1/0"],
         ["kernel", "pd", "--q", "1/2", "--d", "2", "--x", "1", "--y", "0"],
+        ["experiment", "small-q", "--k", "1", "--big-n", "0"],
+        ["experiment", "large-q", "--k", "1", "--big-n", "0"],
     ],
 )
 def test_domain_error_is_one_line_and_exit_code_2(argv, capsys):
