@@ -181,11 +181,10 @@ class DiscreteSimulation:
         )
 
     def patterns(self) -> list[Pattern]:
-        rows = [self.row(l) for l in range(1, self.k + 1)]
-        return [
-            tuple(tuple(int(v) for v in rows[l][p]) for l in range(self.k))
-            for p in range(self.n_paths)
-        ]
+        """Each path's pattern, rows as tuples of Python ints.  Each row is
+        converted column by column with tolist(), then zipped per path."""
+        rows = [zip(*self.row(l).T.tolist()) for l in range(1, self.k + 1)]
+        return list(zip(*rows))
 
 
 # ---------------------------------------------------------------------------

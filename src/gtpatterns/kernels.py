@@ -27,8 +27,10 @@ Q = Fraction
 
 
 def _check_q(q: Fraction) -> Fraction:
-    q = Fraction(q)
-    if not 0 < q < 1:
+    if type(q) is not Fraction:
+        q = Fraction(q)
+    # a Fraction's denominator is positive, so this is 0 < q < 1
+    if not 0 < q.numerator < q.denominator:
         raise ValueError(f"q must be in (0,1), got {q}")
     return q
 
@@ -220,25 +222,41 @@ def p_d_closed(q: Fraction, d: int, lam: Row, beta: Row) -> Fraction:
         raise ValueError("d must be >= 3")
     if not (row_value_ok(d - 1, lam) and row_value_ok(d - 1, beta)):
         raise ValueError(f"invalid SO({d}) weights: {lam}, {beta}")
+    return _p_d(q, d, lam, beta)
+
+
+def _p_d(q: Fraction, d: int, lam: Row, beta: Row) -> Fraction:
+    """P_d(lam, beta) for q, d and weights already checked.
+
+    The closed form sums, over the rows c interlacing lam and beta,
+    ratio (1-q)^(d-1) q^e_c, divided by 1+q when d is even or c_r = 0,
+    with ratio = s_dim(beta) / s_dim(lam) and e_c >= 0 the exponent below.
+    With q = a/b in lowest terms and E = max e_c, every term has the
+    denominator s_dim(lam) b^(d-1+E) (a+b) in common, so the sum is one
+    integer numerator and one Fraction: a single gcd instead of one per
+    Fraction operation per term.
+    """
     r = d // 2
-    total = Q(0)
-    ratio = Fraction(s_dim(d, beta), s_dim(d, lam))
     if d % 2 == 1:
-        for c in lower_rows(r, lam, beta):
-            term = (1 - q) ** (d - 1) * ratio * q ** (sum(lam) + sum(beta) - 2 * sum(c))
-            if c[-1] == 0:
-                term /= 1 + q
-            total += term
+        base = sum(lam) + sum(beta)
+        terms = [(base - 2 * sum(c), c[-1] == 0) for c in lower_rows(r, lam, beta)]
     else:
-        expo_base = sum(lam[: r - 1]) + sum(beta[: r - 1]) + abs(lam[-1] - beta[-1])
-        for c in lower_rows(r - 1, abs_row(lam), abs_row(beta)):
-            total += (
-                (1 - q) ** (d - 1)
-                / (1 + q)
-                * ratio
-                * q ** (expo_base - 2 * sum(c))
-            )
-    return total
+        base = sum(lam[: r - 1]) + sum(beta[: r - 1]) + abs(lam[-1] - beta[-1])
+        terms = [
+            (base - 2 * sum(c), True)
+            for c in lower_rows(r - 1, abs_row(lam), abs_row(beta))
+        ]
+    if not terms:
+        return Q(0)
+    a, b = q.numerator, q.denominator
+    # lower_rows starts at the coordinatewise smallest c, whose e_c is largest
+    top = terms[0][0]
+    # a term divided by 1+q = (a+b)/b carries b, any other one a+b
+    num = sum(a**e * b ** (top - e) * (b if halved else a + b) for e, halved in terms)
+    return Fraction(
+        s_dim(d, beta) * (b - a) ** (d - 1) * num,
+        s_dim(d, lam) * b ** (d - 1 + top) * (a + b),
+    )
 
 
 def p_d_series(
@@ -268,12 +286,13 @@ def r_k_pmf(q: Fraction, k: int, x: Row, y: Row) -> Fraction:
         raise ValueError(f"states must have length {row_length(k)}")
     if k == 1:
         return r_pmf(q, x[0], y[0])
+    # nonnegative rows of length row_length(k) are valid SO(k+1) weights
     if k % 2 == 0:
-        return p_d_closed(q, k + 1, x, y)
-    value = p_d_closed(q, k + 1, x, y)
+        return _p_d(q, k + 1, x, y)
+    value = _p_d(q, k + 1, x, y)
     if y[-1] != 0:
         y_tilde = y[:-1] + (-y[-1],)
-        value += p_d_closed(q, k + 1, x, y_tilde)
+        value += _p_d(q, k + 1, x, y_tilde)
     return value
 
 
@@ -491,21 +510,20 @@ def check_intertwining(q: Fraction, k: int, bound: int) -> IntertwiningReport:
         raise ValueError("k must be >= 2")
     report = IntertwiningReport()
     pairs = enumerate_pair_states(k, bound)
+    # the L_k row of each pair state: (x, L_k((z, y), (x, z, y))) per x
+    links = {
+        (z, y): [(x, l_k_pmf(k, (z, y), (x, z, y))) for x in lower_rows(k // 2, y)]
+        for z, y in pairs
+    }
     for z, y in pairs:
-        us = list(lower_rows(k // 2, y))
+        src = links[(z, y)]
         for z2, y2 in pairs:
-            for x in lower_rows(k // 2, y2):
+            for x, link_x in links[(z2, y2)]:
                 lhs = sum(
-                    (
-                        l_k_pmf(k, (z, y), (u, z, y))
-                        * q_k_pmf(q, k, (u, z, y), (x, z2, y2))
-                        for u in us
-                    ),
+                    (link_u * q_k_pmf(q, k, (u, z, y), (x, z2, y2)) for u, link_u in src),
                     Q(0),
                 )
-                rhs = s_k_pmf(q, k, (z, y), (z2, y2)) * l_k_pmf(
-                    k, (z2, y2), (x, z2, y2)
-                )
+                rhs = s_k_pmf(q, k, (z, y), (z2, y2)) * link_x
                 report.checked += 1
                 gap = abs(lhs - rhs)
                 if gap > report.max_discrepancy:

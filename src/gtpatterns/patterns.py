@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from operator import ge, le
 from typing import Iterator
 
 Row = tuple[int, ...]
@@ -24,15 +25,16 @@ def row_length(i: int) -> int:
 
 
 def abs_row(row: Row) -> Row:
-    return tuple(abs(e) for e in row)
+    return tuple(map(abs, row))
 
 
 def is_weakly_decreasing(row: Row) -> bool:
-    return all(row[i] >= row[i + 1] for i in range(len(row) - 1))
+    return all(map(ge, row, row[1:]))
 
 
 def is_nonneg_row(row: Row) -> bool:
-    return is_weakly_decreasing(row) and all(e >= 0 for e in row)
+    # a weakly decreasing row is non-negative when its last entry is
+    return is_weakly_decreasing(row) and (not row or row[-1] >= 0)
 
 
 def is_signed_row(row: Row) -> bool:
@@ -65,11 +67,8 @@ def interlaces(lower: Row, upper: Row) -> bool:
         )
     if not (is_weakly_decreasing(lower) and is_weakly_decreasing(upper)):
         raise ValueError("interlacing is defined for weakly decreasing rows")
-    if any(lower[i] > upper[i] for i in range(n)):
-        return False
-    if any(upper[i + 1] > lower[i] for i in range(n if len(upper) == n + 1 else n - 1)):
-        return False
-    return True
+    # lower_i <= upper_i, and upper_{i+1} <= lower_i wherever upper_{i+1} exists
+    return all(map(le, lower, upper)) and all(map(ge, lower, upper[1:]))
 
 
 def pattern_is_valid(pattern: Pattern) -> bool:

@@ -11,6 +11,7 @@ than the arithmetic itself.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -93,11 +94,9 @@ def _floats(v, r: int, name: str) -> tuple[float, ...]:
 
 def _h(d: int, lam: tuple[float, ...]) -> float:
     """h_d on coordinates already converted by _floats."""
-    r = len(lam)
     v = 1.0
-    for i in range(r):
-        for j in range(i + 1, r):
-            v *= (lam[i] - lam[j]) * (lam[i] + lam[j])
+    for a, b in combinations(lam, 2):
+        v *= (a - b) * (a + b)
     if d % 2:
         v *= math.prod(lam)
     return v / _h_d_norm(d)
@@ -155,10 +154,13 @@ def m_d(d: int, x, y) -> float:
 def p_d_density(d: int, x, y) -> float:
     """Transition density of the top-eigenvalue chain:
     p_d(x, y) = h_d(y) m_d(x, y) / h_d(x), for x in the open cone."""
+    if d < 2:
+        raise ValueError("d must be >= 2")
     # a wrong length is reported as h_d reports it
     x = _floats(x, d // 2, "lam")
     hx = _h(d, x)
-    if not hx > 0.0:
+    # h_d(x) > 0 alone passes an even number of negative factors
+    if not (hx > 0.0 and x[-1] >= 0.0 and all(map(float.__gt__, x, x[1:]))):
         raise ValueError("x must lie in the interior of the spectral cone")
     y = _floats(y, d // 2, "lam")
     return _h(d, y) * _m(d, x, y) / hx

@@ -17,7 +17,10 @@ def empirical_law(samples) -> dict:
 
 
 def rows_to_tuples(rows: np.ndarray) -> list[tuple]:
-    return [tuple(int(v) for v in row) for row in rows]
+    """The rows of a 2-D integer array with at least one column, as tuples
+    of Python ints.  Converting column by column with tolist() avoids a
+    numpy scalar per entry."""
+    return list(zip(*rows.T.tolist()))
 
 
 def tv_distance(a: dict, b: dict) -> float:

@@ -141,6 +141,7 @@ class TestVectorizedSimulation:
                 )
                 _, scalars[p] = discrete_step(scalars[p], noise)
             assert sim.patterns() == scalars
+        assert all(type(v) is int for pat in sim.patterns() for row in pat for v in row)
 
     def test_geometric_draws_distribution(self):
         rng = np.random.default_rng(7)

@@ -1,6 +1,7 @@
 """Exact rational kernels: elementary laws, tensor decomposition, one-step
 kernels, pair kernels, and the structural identities they satisfy."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -33,7 +34,13 @@ from gtpatterns.kernels import (
     s_k_pmf,
     states_in_box,
 )
-from gtpatterns.patterns import count_patterns, enumerate_lower_rows, row_length
+from gtpatterns.patterns import (
+    abs_row,
+    count_patterns,
+    enumerate_lower_rows,
+    interlaces,
+    row_length,
+)
 
 Q = Fraction
 HALF = Q(1, 2)
@@ -245,6 +252,54 @@ class TestPd:
         assert close_to_one(total, 60 * nu_tail_bound(q, d, 30))
 
 
+@st.composite
+def so_weight(draw, d: int):
+    """A valid SO(d) highest weight with entries <= 5 (signed last entry
+    for even d)."""
+    entries = draw(st.lists(st.integers(0, 5), min_size=d // 2, max_size=d // 2))
+    lam = tuple(sorted(entries, reverse=True))
+    if d % 2 == 0 and draw(st.booleans()):
+        lam = lam[:-1] + (-lam[-1],)
+    return lam
+
+
+def p_d_term_sum(q: Fraction, d: int, lam, beta) -> Fraction:
+    """The closed form of P_d summed term by term in Fraction arithmetic,
+    over interlacing rows c found by brute force."""
+    r = d // 2
+    length = r if d % 2 else r - 1
+    top = max(abs_row(lam) + abs_row(beta))
+    ratio = Fraction(s_dim(d, beta), s_dim(d, lam))
+    total = Q(0)
+    for c in itertools.product(range(top + 1), repeat=length):
+        if c != tuple(sorted(c, reverse=True)):
+            continue
+        if not all(interlaces(c, abs_row(u)) for u in (lam, beta)):
+            continue
+        if d % 2:
+            expo = sum(lam) + sum(beta) - 2 * sum(c)
+            halved = c[-1] == 0
+        else:
+            expo = sum(lam[:-1]) + sum(beta[:-1]) + abs(lam[-1] - beta[-1]) - 2 * sum(c)
+            halved = True
+        term = (1 - q) ** (d - 1) * ratio * q**expo
+        total += term / (1 + q) if halved else term
+    return total
+
+
+class TestPdRandomRational:
+    @given(data=st.data(), d=st.integers(3, 6), den=st.integers(2, 50))
+    @settings(max_examples=60, deadline=None)
+    def test_closed_matches_term_sum_and_series(self, data, d, den):
+        q = Q(data.draw(st.integers(1, den - 1)), den)
+        lam = data.draw(so_weight(d))
+        beta = data.draw(so_weight(d))
+        closed = p_d_closed(q, d, lam, beta)
+        assert closed == p_d_term_sum(q, d, lam, beta)
+        series, tail = p_d_series(q, d, lam, beta, 25)
+        assert abs(closed - series) <= tail
+
+
 class TestTopRowKernel:
     def test_k1_is_reflected_walk(self):
         for x, y in itertools.product(range(4), repeat=2):
@@ -362,6 +417,17 @@ class TestNStepLaw:
         law = n_step_law(HALF, 3, 2, 16)
         assert law.total_mass() + law.tail_deficit == 1
         assert law.tail_deficit < Q(1, 100)
+
+    def test_benchmark_law_is_pinned(self):
+        # every Fraction of the support, hashed as the benchmark's digest gate
+        law = n_step_law(HALF, 3, 2, 20)
+        text = "\n".join(
+            f"{s}:{p.numerator}/{p.denominator}" for s, p in sorted(law.support.items())
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c57221b30cafd2bfe891635a29b367e07aa75b14fe20495aaaf6dbbd161bb642"
+        )
+        assert law.tail_deficit == Q(51869094519679483, 166020696663385964544)
 
     def test_deficit_shrinks_with_radius(self):
         small = n_step_law(HALF, 2, 2, 6)

@@ -166,10 +166,24 @@ class TestDensity:
         with pytest.raises(ValueError):
             p_d_density(4, (1.0, 1.0), (2.0, 0.5))
 
-    @pytest.mark.parametrize("x", [(math.nan, 0.5), (0.6, 1.4)])
-    def test_raises_outside_open_cone(self, x):
+    @pytest.mark.parametrize(
+        "d, x",
+        [
+            pytest.param(4, (math.nan, 0.5), id="x0"),
+            pytest.param(4, (0.6, 1.4), id="x1"),
+            # h_d(x) > 0 from an even number of negative factors
+            pytest.param(5, (-1.4, -0.6), id="x2"),
+            pytest.param(4, (-1.4, 0.6), id="x3"),
+        ],
+    )
+    def test_raises_outside_open_cone(self, d, x):
         with pytest.raises(ValueError, match="interior of the spectral cone"):
-            p_d_density(4, x, (2.0, 0.5))
+            p_d_density(d, x, (2.0, 0.5))
+
+    @pytest.mark.parametrize("d", [1, 0])
+    def test_density_rejects_d_below_two(self, d):
+        with pytest.raises(ValueError, match="d must be >= 2"):
+            p_d_density(d, (), ())
 
     @pytest.mark.parametrize(
         "call,message",

@@ -31,6 +31,12 @@ class TestEmpiricalLaw:
         arr = np.array([[1, 2], [3, 4]])
         assert rows_to_tuples(arr) == [(1, 2), (3, 4)]
 
+    def test_rows_to_tuples_gives_python_ints(self):
+        rows = rows_to_tuples(np.array([[5, 0], [2, 1], [7, 7]], dtype=np.int64))
+        assert rows == [(5, 0), (2, 1), (7, 7)]
+        assert all(type(v) is int for row in rows for v in row)
+        assert rows_to_tuples(np.zeros((0, 3), dtype=np.int64)) == []
+
 
 class TestTv:
     def test_identical(self):
