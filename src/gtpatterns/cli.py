@@ -22,6 +22,12 @@ def _parse_row(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok != "")
 
 
+def _single(row: tuple[int, ...], flag: str) -> int:
+    if len(row) != 1:
+        raise ValueError(f"{flag} must be one integer, got {len(row)} entries")
+    return row[0]
+
+
 def _parse_q(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -53,13 +59,13 @@ def _cmd_kernel(args) -> int:
     q = _parse_q(args.q)
     x, y = _parse_row(args.x), _parse_row(args.y)
     if args.kernel == "r":
-        value = kernels.r_pmf(q, x[0], y[0])
+        value = kernels.r_pmf(q, _single(x, "--x"), _single(y, "--y"))
     elif args.kernel == "pd":
         value = kernels.p_d_closed(q, args.d, x, y)
     elif args.kernel == "rk":
         value = kernels.r_k_pmf(q, args.k, x, y)
     elif args.kernel == "nu":
-        value = kernels.nu_pmf(q, args.d, y[0])
+        value = kernels.nu_pmf(q, args.d, _single(y, "--y"))
     else:
         raise AssertionError(args.kernel)
     print(f"{value} ({float(value):.12g})")

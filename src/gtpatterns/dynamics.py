@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gtpatterns.patterns import Pattern, Row, count_patterns, row_length, zero_pattern
+from gtpatterns.patterns import Pattern, Row, count_patterns, is_nonneg_row, row_length
 
 INF = math.inf
 
@@ -171,6 +171,8 @@ class DiscreteSimulation:
         self.state = new
 
     def run(self, horizon: int) -> None:
+        if horizon < 0:
+            raise ValueError(f"horizon must be >= 0, got {horizon}")
         for _ in range(horizon):
             self.step()
 
@@ -303,7 +305,7 @@ def generator_rate(k: int, lam: Row, beta: Row) -> Fraction:
     nonzero = [i for i, d in enumerate(diffs) if d != 0]
     if len(nonzero) != 1 or abs(diffs[nonzero[0]]) != 1:
         raise ValueError("beta must be a unit-step neighbour of lam")
-    if not all(beta[i] >= beta[i + 1] for i in range(r - 1)) or beta[-1] < 0:
+    if not is_nonneg_row(beta):
         return Fraction(0)
     rate = Fraction(count_patterns(k, beta), count_patterns(k, lam))
     if k % 2 == 1 and lam[-1] == 0 and beta[-1] == 1:

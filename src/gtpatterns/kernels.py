@@ -8,6 +8,8 @@ carry an explicit tail deficit.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -17,6 +19,7 @@ from gtpatterns.patterns import (
     abs_row,
     count_patterns,
     interlaces,
+    interlacing_ranges,
     is_nonneg_row,
     lower_rows,
     row_length,
@@ -91,9 +94,7 @@ def reflected_right_pmf(q: Fraction, b: int, x: int, y: int) -> Fraction:
     if not 0 <= y <= b:
         return Q(0)
     if y <= b - 1:
-        if y > 0:
-            return (1 - q) / (1 + q) * (q ** abs(y - x) + q ** (x + y))
-        return (1 - q) / (1 + q) * q**x
+        return r_pmf(q, x, y)  # below b the jump is not blocked
     # y == b
     if y > 0:
         return q**b * (q**-x + q**x) / (1 + q)
@@ -228,31 +229,34 @@ def p_d_closed(q: Fraction, d: int, lam: Row, beta: Row) -> Fraction:
 def _p_d(q: Fraction, d: int, lam: Row, beta: Row) -> Fraction:
     """P_d(lam, beta) for q, d and weights already checked.
 
-    The closed form sums, over the rows c interlacing lam and beta,
-    ratio (1-q)^(d-1) q^e_c, divided by 1+q when d is even or c_r = 0,
-    with ratio = s_dim(beta) / s_dim(lam) and e_c >= 0 the exponent below.
-    With q = a/b in lowest terms and E = max e_c, every term has the
-    denominator s_dim(lam) b^(d-1+E) (a+b) in common, so the sum is one
-    integer numerator and one Fraction: a single gcd instead of one per
-    Fraction operation per term.
+    The closed form sums ratio (1-q)^(d-1) q^e_c over the rows c interlacing
+    lam and beta, divided by 1+q when d is even or c_r = 0, with
+    ratio = s_dim(beta) / s_dim(lam) and e_c = base - 2 sum(c) >= 0.  With
+    q = a/b in lowest terms and E = max e_c, that is one Fraction over
+    s_dim(lam) b^(d-1+E) (a+b).  The rows c are a box of ranges, so the sum
+    over c of a^e_c b^(E-e_c) is a^(base - 2 sum(hi)) times, per range of
+    n values ending at hi, g(n) = (b^2n - a^2n) / (b^2 - a^2).  A term
+    divided by 1+q carries b, any other a+b: for even d one more factor b;
+    for odd d the last range starts at c_r = 0, the one term divided by 1+q,
+    so its factor is (a+b) g(n_r) - a^(2n_r - 1).
     """
     r = d // 2
     if d % 2 == 1:
         base = sum(lam) + sum(beta)
-        terms = [(base - 2 * sum(c), c[-1] == 0) for c in lower_rows(r, lam, beta)]
+        ranges = interlacing_ranges(r, lam, beta)
     else:
         base = sum(lam[: r - 1]) + sum(beta[: r - 1]) + abs(lam[-1] - beta[-1])
-        terms = [
-            (base - 2 * sum(c), True)
-            for c in lower_rows(r - 1, abs_row(lam), abs_row(beta))
-        ]
-    if not terms:
+        ranges = interlacing_ranges(r - 1, abs_row(lam), abs_row(beta))
+    if not all(ranges):
         return Q(0)
     a, b = q.numerator, q.denominator
-    # lower_rows starts at the coordinatewise smallest c, whose e_c is largest
-    top = terms[0][0]
-    # a term divided by 1+q = (a+b)/b carries b, any other one a+b
-    num = sum(a**e * b ** (top - e) * (b if halved else a + b) for e, halved in terms)
+    factors = [(b ** (2 * n) - a ** (2 * n)) // (b * b - a * a) for n in map(len, ranges)]
+    if d % 2 == 1:
+        factors[-1] = (a + b) * factors[-1] - a ** (2 * len(ranges[-1]) - 1)
+    else:
+        factors.append(b)
+    top = base - 2 * sum(values.start for values in ranges)
+    num = a ** (base - 2 * sum(values[-1] for values in ranges)) * math.prod(factors)
     return Fraction(
         s_dim(d, beta) * (b - a) ** (d - 1) * num,
         s_dim(d, lam) * b ** (d - 1 + top) * (a + b),
@@ -286,13 +290,11 @@ def r_k_pmf(q: Fraction, k: int, x: Row, y: Row) -> Fraction:
         raise ValueError(f"states must have length {row_length(k)}")
     if k == 1:
         return r_pmf(q, x[0], y[0])
-    # nonnegative rows of length row_length(k) are valid SO(k+1) weights
-    if k % 2 == 0:
-        return _p_d(q, k + 1, x, y)
+    # nonnegative rows of length row_length(k) are valid SO(k+1) weights,
+    # and for odd k so is y with its last entry negated
     value = _p_d(q, k + 1, x, y)
-    if y[-1] != 0:
-        y_tilde = y[:-1] + (-y[-1],)
-        value += _p_d(q, k + 1, x, y_tilde)
+    if k % 2 == 1 and y[-1] != 0:
+        value += _p_d(q, k + 1, x, y[:-1] + (-y[-1],))
     return value
 
 
@@ -320,9 +322,7 @@ def s_k_pmf(q: Fraction, k: int, src: PairState, dst: tuple[Row, Row]) -> Fracti
         raise ValueError("k must be >= 1")
     y = src[1]
     z2, y2 = dst
-    if not pair_state_ok(k, z2, y2):
-        return Q(0)
-    if not (interlaces(z2, y) and interlaces(z2, y2)):
+    if not (pair_state_ok(k, z2, y2) and interlaces(z2, y)):
         return Q(0)
     ratio = Fraction(count_patterns(k, y2), count_patterns(k, y))
     if k % 2 == 0:
@@ -483,13 +483,9 @@ def enumerate_pair_states(k: int, bound: int) -> list[tuple[Row, Row]]:
 def _decreasing_rows(length: int, bound: int) -> list[Row]:
     """Non-negative weakly decreasing rows with entries <= bound, in
     lexicographic order."""
-    if length == 0:
-        return [()]
-    return [
-        (a,) + rest
-        for a in range(bound + 1)
-        for rest in _decreasing_rows(length - 1, a)
-    ]
+    # drawn from (bound, ..., 0), they come in reverse lexicographic order
+    rows = itertools.combinations_with_replacement(range(bound, -1, -1), length)
+    return list(rows)[::-1]
 
 
 @dataclass
@@ -508,6 +504,8 @@ def check_intertwining(q: Fraction, k: int, bound: int) -> IntertwiningReport:
     q = _check_q(q)
     if k < 2:
         raise ValueError("k must be >= 2")
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
     report = IntertwiningReport()
     pairs = enumerate_pair_states(k, bound)
     # the L_k row of each pair state: (x, L_k((z, y), (x, z, y))) per x
@@ -550,6 +548,8 @@ class SparseLaw:
 
 def states_in_box(k: int, radius: int) -> list[Row]:
     """Non-negative weakly decreasing rows of length (k+1)//2, coords <= radius."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     return _decreasing_rows(row_length(k), radius)
 
 

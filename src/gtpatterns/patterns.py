@@ -10,6 +10,7 @@ Rows are plain tuples of ints throughout; all counting is exact.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import ge, le
@@ -85,21 +86,26 @@ def pattern_is_valid(pattern: Pattern) -> bool:
     return True
 
 
-def lower_rows(length: int, *uppers: Row) -> Iterator[Row]:
-    """The non-negative rows of the given length that interlace every row in
-    uppers, in lexicographic order.  Each upper row must be non-negative and
-    weakly decreasing, of the given length or one longer.
+def interlacing_ranges(length: int, *uppers: Row) -> list[range]:
+    """Per coordinate, the values of a non-negative row of the given length
+    that interlaces every row in uppers.  Each upper row must be non-negative
+    and weakly decreasing, of the given length or one longer.
 
     Coordinate i ranges over [max_u u_{i+1}, min_u u_i], with u_{i+1} = 0
     past the end of u; these ranges make every product row weakly decreasing.
     """
-    return itertools.product(*[
+    return [
         range(
             max(u[i + 1] if i + 1 < len(u) else 0 for u in uppers),
             min(u[i] for u in uppers) + 1,
         )
         for i in range(length)
-    ])
+    ]
+
+
+def lower_rows(length: int, *uppers: Row) -> Iterator[Row]:
+    """The rows of interlacing_ranges(length, *uppers), in lexicographic order."""
+    return itertools.product(*interlacing_ranges(length, *uppers))
 
 
 def enumerate_lower_rows(upper: Row, length: int, signed_last: bool) -> list[Row]:
@@ -170,20 +176,17 @@ def weyl_dimension(d: int, lam: Row) -> int:
         # doubled weights keep everything integral: l_i = 2 lam_i + 2(r-i)+1
         l = [2 * lam[i] + 2 * (r - 1 - i) + 1 for i in range(r)]
         m = [2 * (r - 1 - i) + 1 for i in range(r)]
-        dim = Fraction(1)
-        for i in range(r):
-            dim *= Fraction(l[i], m[i])
-            for j in range(i + 1, r):
-                dim *= Fraction(l[i] ** 2 - l[j] ** 2, m[i] ** 2 - m[j] ** 2)
+        # the short roots contribute prod l_i / m_i
+        dim = Fraction(math.prod(l), math.prod(m))
     else:
         if not is_signed_row(lam):
             raise ValueError(f"invalid SO({d}) highest weight: {lam}")
         l = [lam[i] + (r - 1 - i) for i in range(r)]
         m = [r - 1 - i for i in range(r)]
         dim = Fraction(1)
-        for i in range(r):
-            for j in range(i + 1, r):
-                dim *= Fraction(l[i] ** 2 - l[j] ** 2, m[i] ** 2 - m[j] ** 2)
+    for i in range(r):
+        for j in range(i + 1, r):
+            dim *= Fraction(l[i] ** 2 - l[j] ** 2, m[i] ** 2 - m[j] ** 2)
     if dim.denominator != 1:
         raise AssertionError(f"non-integer Weyl dimension for d={d}, lam={lam}")
     return int(dim)

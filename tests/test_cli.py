@@ -89,6 +89,12 @@ def test_usage_error_exit_code():
         ["kernel", "pd", "--q", "1/2", "--d", "2", "--x", "1", "--y", "0"],
         ["experiment", "small-q", "--k", "1", "--big-n", "0"],
         ["experiment", "large-q", "--k", "1", "--big-n", "0"],
+        ["intertwine", "--k", "2", "--q", "1/2", "--bound", "-1"],
+        ["experiment", "markov-marginal", "--k", "2", "--paths", "100", "--radius", "-1"],
+        ["simulate", "--k", "2", "--q", "1/2", "--horizon", "-1"],
+        ["kernel", "r", "--q", "1/2", "--x", ""],
+        ["kernel", "r", "--q", "1/2", "--y", "1,2"],
+        ["kernel", "nu", "--q", "1/2", "--y", ""],
     ],
 )
 def test_domain_error_is_one_line_and_exit_code_2(argv, capsys):

@@ -20,9 +20,8 @@ from gtpatterns.dynamics import (
     geometric_draws,
     half_step_left,
     semigroup_law,
-    zero_pattern,
 )
-from gtpatterns.patterns import pattern_is_valid, row_length
+from gtpatterns.patterns import pattern_is_valid, row_length, zero_pattern
 
 Q = Fraction
 

@@ -39,7 +39,9 @@ from gtpatterns.patterns import (
     count_patterns,
     enumerate_lower_rows,
     interlaces,
+    lower_rows,
     row_length,
+    row_value_ok,
 )
 
 Q = Fraction
@@ -251,12 +253,30 @@ class TestPd:
         # the escaped mass is bounded by the nu tail past the box
         assert close_to_one(total, 60 * nu_tail_bound(q, d, 30))
 
+    def test_grid_is_pinned(self):
+        # every valid pair of weights with entries in [-3, 3], d = 3..7
+        lines = []
+        for q in (HALF, Q(2, 3), Q(3, 7)):
+            for d in range(3, 8):
+                weights = [
+                    lam
+                    for lam in itertools.product(range(-3, 4), repeat=d // 2)
+                    if row_value_ok(d - 1, lam)
+                ]
+                for lam, beta in itertools.product(weights, repeat=2):
+                    p = p_d_closed(q, d, lam, beta)
+                    lines.append(f"{q}:{d}:{lam}:{beta}:{p.numerator}/{p.denominator}")
+        assert len(lines) == 5016
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "82394fe5c4145983d9b2dcc1f9f9702270109a3405447d665eeb25fb20cfed9d"
+        )
+
 
 @st.composite
 def so_weight(draw, d: int):
-    """A valid SO(d) highest weight with entries <= 5 (signed last entry
+    """A valid SO(d) highest weight with entries <= 8 (signed last entry
     for even d)."""
-    entries = draw(st.lists(st.integers(0, 5), min_size=d // 2, max_size=d // 2))
+    entries = draw(st.lists(st.integers(0, 8), min_size=d // 2, max_size=d // 2))
     lam = tuple(sorted(entries, reverse=True))
     if d % 2 == 0 and draw(st.booleans()):
         lam = lam[:-1] + (-lam[-1],)
@@ -354,6 +374,22 @@ class TestPairKernels:
                 s_k_pmf(q, k, (None, y), ((z,), (y2,))) for z in range(y2 + 1)
             )
             assert marginal == p_d_closed(q, 3, y, (y2,))
+
+    @pytest.mark.parametrize("q", [HALF, Q(2, 7)])
+    def test_s_k_z_marginal_is_r_k(self, q):
+        """Summing z2 out of S_k gives R_k, by a formula that never
+        evaluates P_d."""
+        for k in range(2, 7):
+            states = states_in_box(k, 4)
+            for y, y2 in itertools.product(states, repeat=2):
+                marginal = sum(
+                    (
+                        s_k_pmf(q, k, (None, y), (z2, y2))
+                        for z2 in lower_rows(k // 2, y, y2)
+                    ),
+                    Q(0),
+                )
+                assert marginal == r_k_pmf(q, k, y, y2), (k, y, y2)
 
     def test_l_k_rows_sum_to_one(self):
         for k in (2, 3, 4, 5):
