@@ -107,7 +107,7 @@ def _cmd_ctmc(args) -> int:
 def _cmd_experiment(args) -> int:
     if args.q is not None and args.which != "markov-marginal":
         raise ValueError(f"--q does not apply to {args.which}, whose q is set by --big-n")
-    q = _parse_q(args.q) if args.q else None
+    q = _parse_q(args.q) if args.q is not None else None
     if args.which == "markov-marginal":
         report = experiments.experiment_markov_marginal(
             k=args.k,

@@ -74,10 +74,11 @@ def experiment_markov_marginal(
 ) -> ComparisonReport:
     """Empirical law of the top row after `horizon` steps against the exact
     n-step law of the top-row kernel."""
+    # the argument checks come first, so a bad one costs no Monte Carlo
     sim = DiscreteSimulation(q, k, n_paths, seed)
+    exact = n_step_law(Fraction(q), k, horizon, radius)
     sim.run(horizon)
     emp = empirical_law(rows_to_tuples(sim.row(k)))
-    exact = n_step_law(Fraction(q), k, horizon, radius)
     tv = tv_distance(emp, exact_law_to_floats(exact.support))
     return ComparisonReport(
         name=f"markov-marginal k={k} n={horizon} q={q}",
@@ -99,9 +100,9 @@ def experiment_ctmc_marginal(
 ) -> ComparisonReport:
     """Empirical top-row law of the exponential-clock model against the
     truncated matrix exponential of its generator."""
+    ref = semigroup_law(k, radius, t_max)  # checks radius before the Monte Carlo
     res = ctmc_simulate(k, t_max, n_paths, seed)
     emp = empirical_law([p[k - 1] for p in res.patterns])
-    ref = semigroup_law(k, radius, t_max)
     tv = tv_distance(emp, ref)
     return ComparisonReport(
         name=f"ctmc-marginal k={k} t={t_max}",

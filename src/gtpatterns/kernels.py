@@ -73,8 +73,9 @@ def blocked_left_pmf(q: Fraction, a: int, x: int, y: int) -> Fraction:
     return q ** (x - a)
 
 
-def blocked_right_pmf(q: Fraction, b: int, x: int, y: int) -> Fraction:
-    """Law of min(b, x + xi): a rightward geometric jump blocked at b."""
+def blocked_right_pmf(q: Fraction, b: int | float, x: int, y: int) -> Fraction:
+    """Law of min(b, x + xi): a rightward geometric jump blocked at b.
+    With b = math.inf it is the free shift (1-q) q^(y-x), y >= x."""
     q = _check_q(q)
     if x > b:
         raise ValueError(f"need x <= b, got x={x}, b={b}")
@@ -85,9 +86,9 @@ def blocked_right_pmf(q: Fraction, b: int, x: int, y: int) -> Fraction:
     return q ** (b - x)
 
 
-def reflected_right_pmf(q: Fraction, b: int, x: int, y: int) -> Fraction:
+def reflected_right_pmf(q: Fraction, b: int | float, x: int, y: int) -> Fraction:
     """Law of min(b, |x + xi - xi'|): two-sided jump reflected at 0,
-    blocked at b."""
+    blocked at b.  With b = math.inf it is r_pmf(q, x, y)."""
     q = _check_q(q)
     if b < 0 or x < 0:
         raise ValueError("b, x must be >= 0")
@@ -99,21 +100,6 @@ def reflected_right_pmf(q: Fraction, b: int, x: int, y: int) -> Fraction:
     if y > 0:
         return q**b * (q**-x + q**x) / (1 + q)
     return Q(1)
-
-
-def free_shift_pmf(q: Fraction, x: int, y: int) -> Fraction:
-    """Unblocked rightward geometric jump: P(x, y) = (1-q) q^(y-x)."""
-    q = _check_q(q)
-    if y < x:
-        return Q(0)
-    return (1 - q) * q ** (y - x)
-
-
-def _blocked_or_free_right(q: Fraction, b: int | None, x: int, y: int) -> Fraction:
-    """P^{->b}(x, y) with b=None meaning no upper constraint."""
-    if b is None:
-        return free_shift_pmf(q, x, y)
-    return blocked_right_pmf(q, b, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +302,11 @@ def pair_state_ok(k: int, z: Row, y: Row) -> bool:
 
 
 def s_k_pmf(q: Fraction, k: int, src: PairState, dst: tuple[Row, Row]) -> Fraction:
-    """Pair-state kernel S_k((z, y), (z', y')).  Reads only y from src."""
+    """Pair-state kernel S_k((z, y), (z', y')).  Reads only y from src.
+
+    (1-q)^(2 len z') (s_k(y') / s_k(y)) q^sum_i(y_i + y'_i - 2 z'_i) over
+    i < len z', times r_pmf(y_r, y'_r) of the wall for odd k, or divided by
+    1+q for even k when z' ends in 0."""
     q = _check_q(q)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -325,16 +315,13 @@ def s_k_pmf(q: Fraction, k: int, src: PairState, dst: tuple[Row, Row]) -> Fracti
     if not (pair_state_ok(k, z2, y2) and interlaces(z2, y)):
         return Q(0)
     ratio = Fraction(count_patterns(k, y2), count_patterns(k, y))
-    if k % 2 == 0:
-        r = k // 2
-        expo = sum(y[i] + y2[i] - 2 * z2[i] for i in range(r))
-        value = (1 - q) ** k * ratio * q**expo
-        if z2[-1] == 0:
-            value /= 1 + q
-        return value
-    r = (k + 1) // 2
-    expo = sum(y[i] + y2[i] - 2 * z2[i] for i in range(r - 1))
-    return (1 - q) ** (k - 1) * ratio * r_pmf(q, y[r - 1], y2[r - 1]) * q**expo
+    expo = sum(a + b - 2 * c for a, b, c in zip(y, y2, z2))
+    value = (1 - q) ** (2 * len(z2)) * ratio * q**expo
+    if k % 2 == 1:
+        return value * r_pmf(q, y[-1], y2[-1])
+    if z2[-1] == 0:
+        value /= 1 + q
+    return value
 
 
 def l_k_pmf(k: int, src: tuple[Row, Row], dst: tuple[Row, Row, Row]) -> Fraction:
@@ -362,7 +349,13 @@ def q_k_pmf(
     src: tuple[Row, Row, Row],
     dst: tuple[Row, Row, Row],
 ) -> Fraction:
-    """Joint kernel Q_k on (previous-row, half-step, full-step) triples."""
+    """Joint kernel Q_k on (previous-row, half-step, full-step) triples.
+
+    Sums S_{k-1}((., u), (v, x)) over rows v interlacing y2, x and z2, times
+    per coordinate i < len(x), with c = (inf,) + v, a left jump
+    min(y_i, c_i) -> z2_i blocked at u_i and a right jump
+    max(z2_i, x_i) -> y2_i blocked at c_i; for odd k, times the wall's
+    reflected jump min(y_{r-1}, c_{r-1}) -> y2_{r-1} blocked at c_{r-1}."""
     q = _check_q(q)
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -375,33 +368,21 @@ def q_k_pmf(
     if not (interlaces(u, y) and interlaces(x, y2)):
         raise ValueError("need u interlacing y and x interlacing y2")
 
-    odd = k % 2 == 1
-    r = (k + 1) // 2 if odd else k // 2
-    # v_i in [y2_{i+1}, min(x_i, z2_i)], v_0 = +infinity; x and z2 interlace
-    # y2, so this is the box of rows interlacing all three
+    r = row_length(k)
+    # v_i lies in [y2_{i+1}, min(x_i, z2_i)]; x and z2 interlace y2, so this
+    # is the box of rows interlacing all three
     total = Q(0)
     for v in lower_rows(r - 1, y2, x, z2):
-        ext = (None,) + v  # ext[i] = v_i with v_0 = None (unbounded)
-
-        def v_min(a: int, i: int) -> int:
-            return a if ext[i] is None else min(a, ext[i])
-
         term = s_k_pmf(q, k - 1, (None, u), (v, x))
         if term == 0:
             continue
-        if odd:
-            b = ext[r - 1]
-            wall = (
-                r_pmf(q, y[r - 1], y2[r - 1])
-                if b is None
-                else reflected_right_pmf(q, b, min(y[r - 1], b), y2[r - 1])
-            )
-            term *= wall
-        # the free coordinates: all r of them for even k, all but the wall for odd k
+        c = (math.inf,) + v
         for i in range(len(x)):
-            term *= blocked_left_pmf(q, u[i], v_min(y[i], i), z2[i])
-        for i in range(len(x)):
-            term *= _blocked_or_free_right(q, ext[i], max(z2[i], x[i]), y2[i])
+            term *= blocked_left_pmf(q, u[i], min(y[i], c[i]), z2[i])
+            term *= blocked_right_pmf(q, c[i], max(z2[i], x[i]), y2[i])
+        if k % 2 == 1:
+            b = c[r - 1]
+            term *= reflected_right_pmf(q, b, min(y[r - 1], b), y2[r - 1])
         total += term
     return total
 
@@ -412,12 +393,22 @@ def q_k_pmf(
 
 @dataclass
 class IdentityReport:
+    """Cases compared by an exact identity check, the largest |lhs - rhs|,
+    and a (*case, lhs, rhs) tuple for each case whose sides differ."""
+
     checked: int = 0
+    max_discrepancy: Fraction = Q(0)
     violations: list[tuple] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    def record(self, case: tuple, lhs: Fraction, rhs: Fraction) -> None:
+        self.checked += 1
+        if lhs != rhs:
+            self.max_discrepancy = max(self.max_discrepancy, abs(lhs - rhs))
+            self.violations.append((*case, lhs, rhs))
 
 
 def check_desintegration(q: Fraction, bound: int) -> IdentityReport:
@@ -427,12 +418,6 @@ def check_desintegration(q: Fraction, bound: int) -> IdentityReport:
     if bound < 2:
         raise ValueError("bound must be >= 2")
     report = IdentityReport()
-
-    def record(tag: str, args: tuple, lhs: Fraction, rhs: Fraction) -> None:
-        report.checked += 1
-        if lhs != rhs:
-            report.violations.append((tag, args, lhs, rhs))
-
     # (1): sum_u (1 + [u>0]) R(u, x) P^{u<-}(y, z) over u in [0, z]
     for x in range(bound + 1):
         for y in range(1, bound + 1):
@@ -442,13 +427,13 @@ def check_desintegration(q: Fraction, bound: int) -> IdentityReport:
                     for u in range(z + 1)
                 )
                 rhs = (1 - q) * (1 if x == 0 else 2) * q ** (max(x, z) + y - 2 * z)
-                record("desintegration-1", (x, y, z), lhs, rhs)
+                report.record(("desintegration-1", (x, y, z)), lhs, rhs)
     # (2): sum_u q^u P^{u<-}(x, y) over u in [a, y], for a <= y <= x
     for x in range(bound + 1):
         for y in range(x + 1):
             for a in range(y + 1):
                 lhs = sum(q**u * blocked_left_pmf(q, u, x, y) for u in range(a, y + 1))
-                record("desintegration-2", (x, y, a), lhs, q ** (x - y) * q**a)
+                report.record(("desintegration-2", (x, y, a)), lhs, q ** (x - y) * q**a)
     # (3): sum_v q^-v P^{->v}(x, y) over v in [y, a], for x <= y <= a
     for a in range(bound + 1):
         for y in range(a + 1):
@@ -456,7 +441,7 @@ def check_desintegration(q: Fraction, bound: int) -> IdentityReport:
                 lhs = sum(
                     q**-v * blocked_right_pmf(q, v, x, y) for v in range(y, a + 1)
                 )
-                record("desintegration-3", (x, y, a), lhs, q ** (y - x) * q**-a)
+                report.record(("desintegration-3", (x, y, a)), lhs, q ** (y - x) * q**-a)
     # (4): sum_v q^(max(v,y) - 2v) R^{->v}(min(y,v), y') over v in [y', a]
     for y in range(bound + 1):
         for a in range(1, bound + 1):
@@ -467,7 +452,7 @@ def check_desintegration(q: Fraction, bound: int) -> IdentityReport:
                     for v in range(y2, a + 1)
                 )
                 rhs = q**-a * r_pmf(q, y, y2) / (1 - q)
-                record("desintegration-4", (y, a, y2), lhs, rhs)
+                report.record(("desintegration-4", (y, a, y2)), lhs, rhs)
     return report
 
 
@@ -488,25 +473,14 @@ def _decreasing_rows(length: int, bound: int) -> list[Row]:
     return list(rows)[::-1]
 
 
-@dataclass
-class IntertwiningReport:
-    checked: int = 0
-    max_discrepancy: Fraction = Q(0)
-    violations: list[tuple] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.max_discrepancy == 0
-
-
-def check_intertwining(q: Fraction, k: int, bound: int) -> IntertwiningReport:
+def check_intertwining(q: Fraction, k: int, bound: int) -> IdentityReport:
     """Verify L_k Q_k = S_k L_k exactly on all states with coords <= bound."""
     q = _check_q(q)
     if k < 2:
         raise ValueError("k must be >= 2")
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    report = IntertwiningReport()
+    report = IdentityReport()
     pairs = enumerate_pair_states(k, bound)
     # the L_k row of each pair state: (x, L_k((z, y), (x, z, y))) per x
     links = {
@@ -522,12 +496,7 @@ def check_intertwining(q: Fraction, k: int, bound: int) -> IntertwiningReport:
                     Q(0),
                 )
                 rhs = s_k_pmf(q, k, (z, y), (z2, y2)) * link_x
-                report.checked += 1
-                gap = abs(lhs - rhs)
-                if gap > report.max_discrepancy:
-                    report.max_discrepancy = gap
-                if gap != 0:
-                    report.violations.append(((z, y), (x, z2, y2), lhs, rhs))
+                report.record(((z, y), (x, z2, y2)), lhs, rhs)
     return report
 
 

@@ -118,23 +118,14 @@ def _m(d: int, x: tuple[float, ...], y: tuple[float, ...]) -> float:
     """m_d on coordinates already converted by _floats."""
     r = len(x)
     if d % 2 == 1:
-        value = 1.0
-        for i in range(r):
-            lo = max(x[i + 1] if i < r - 1 else 0.0, y[i + 1] if i < r - 1 else 0.0)
-            hi = min(x[i], y[i])
-            if hi < lo:
-                return 0.0
-            value *= math.exp(-(x[i] + y[i])) * (
-                math.exp(2 * hi) - math.exp(2 * lo)
-            ) / 2
-        return value
-    # the halved two-sided factor is what normalizes the density; it is the
-    # continuum limit of the discrete wall weight 1/(1+q)
-    value = (
-        math.exp(-abs(x[r - 1] - y[r - 1])) + math.exp(-(x[r - 1] + y[r - 1]))
-    ) / 2
-    for i in range(r - 1):
-        lo = max(x[i + 1], y[i + 1])
+        value, n = 1.0, r
+    else:
+        # the halved two-sided factor is what normalizes the density; it is
+        # the continuum limit of the discrete wall weight 1/(1+q)
+        value = (math.exp(-abs(x[-1] - y[-1])) + math.exp(-(x[-1] + y[-1]))) / 2
+        n = r - 1
+    for i in range(n):
+        lo = max(x[i + 1], y[i + 1]) if i + 1 < r else 0.0
         hi = min(x[i], y[i])
         if hi < lo:
             return 0.0

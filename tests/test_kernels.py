@@ -3,6 +3,7 @@ kernels, pair kernels, and the structural identities they satisfy."""
 
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtpatterns.kernels import (
+    IdentityReport,
     blocked_left_pmf,
     blocked_right_pmf,
     check_desintegration,
     check_intertwining,
     enumerate_pair_states,
-    free_shift_pmf,
     gamma_row,
     geometric_pmf,
     l_k_pmf,
@@ -95,15 +96,15 @@ class TestElementaryLaws:
         for y in range(a, x + 1):
             assert abs(law.get(y, Q(0)) - blocked_left_pmf(q, a, x, y)) <= tail
 
-    @given(q=q_values, x=st.integers(0, 3), b=st.integers(3, 8))
+    @given(q=q_values, x=st.integers(0, 3), b=st.integers(3, 8) | st.just(math.inf))
     def test_blocked_right_is_exact_law(self, q, x, b):
-        """Oracle: law of min(b, x + xi)."""
+        """Oracle: law of min(b, x + xi); b = inf is the free shift x + xi."""
         law: dict[int, Fraction] = {}
         for xi in range(200):
             y = min(b, x + xi)
             law[y] = law.get(y, Q(0)) + geometric_pmf(q, xi)
         tail = q**200
-        for y in range(x, b + 1):
+        for y in range(x - 1, min(b, x + 10) + 1):
             assert abs(law.get(y, Q(0)) - blocked_right_pmf(q, b, x, y)) <= tail
 
     @given(q=q_values, x=st.integers(0, 4), b=st.integers(0, 6))
@@ -121,10 +122,10 @@ class TestElementaryLaws:
         for y in range(b + 1):
             assert abs(law.get(y, Q(0)) - reflected_right_pmf(q, b, x, y)) <= tail
 
-    def test_free_shift(self):
-        assert free_shift_pmf(HALF, 2, 1) == 0
-        assert free_shift_pmf(HALF, 2, 2) == HALF
-        assert free_shift_pmf(HALF, 2, 4) == Q(1, 8)
+    @pytest.mark.parametrize("q", [HALF, Q(2, 7)])
+    def test_unbounded_reflected_right_is_r(self, q):
+        for x, y in itertools.product(range(6), range(8)):
+            assert reflected_right_pmf(q, math.inf, x, y) == r_pmf(q, x, y)
 
     def test_bad_q_rejected(self):
         for bad in (Q(0), Q(1), Q(3, 2), Q(-1, 2)):
@@ -419,11 +420,52 @@ class TestPairKernels:
                     expect = (
                         r_pmf(q, u[0], x)
                         * blocked_left_pmf(q, u[0], y[0], z2)
-                        * free_shift_pmf(q, max(z2, x), y2)
+                        * (1 - q) * q ** (y2 - max(z2, x))
                     )
                     assert val == expect
                     total += val
         assert total > Q(9, 10)
+
+    def test_q_k_grid_is_pinned(self):
+        lines = []
+        for q in (HALF, Q(2, 7)):
+            for k in range(2, 6):
+                pairs = enumerate_pair_states(k, 2)
+                for z, y in pairs:
+                    for u in lower_rows(k // 2, y):
+                        for z2, y2 in pairs:
+                            for x in lower_rows(k // 2, y2):
+                                p = q_k_pmf(q, k, (u, z, y), (x, z2, y2))
+                                lines.append(
+                                    f"{q}:{k}:{(u, z, y)}:{(x, z2, y2)}:{p.numerator}/{p.denominator}"
+                                )
+        assert len(lines) == 10508
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "faf9e2a7ba1831a87fb3cb3d3f02c6a99185d8b78d2717ceb73329adc69b44d4"
+        )
+
+    def test_s_k_grid_is_pinned(self):
+        lines = []
+        for q in (HALF, Q(2, 7)):
+            for k in range(1, 7):
+                for y in states_in_box(k, 3):
+                    for z2, y2 in enumerate_pair_states(k, 3):
+                        p = s_k_pmf(q, k, (None, y), (z2, y2))
+                        lines.append(f"{q}:{k}:{y}:{(z2, y2)}:{p.numerator}/{p.denominator}")
+        assert len(lines) == 6812
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "b95f0b0c03399f9e951df3e768e0f4f0ba06d1962a540af5980ef98178ef177a"
+        )
+
+    def test_identity_report_records_only_differences(self):
+        report = IdentityReport()
+        report.record(("tag", (1, 2)), HALF, HALF)
+        report.record(("tag", (3,)), THIRD, HALF)
+        report.record(("tag", (4,)), Q(1), Q(3, 4))
+        assert report.checked == 3
+        assert report.max_discrepancy == Q(1, 4)
+        assert report.violations == [("tag", (3,), THIRD, HALF), ("tag", (4,), Q(1), Q(3, 4))]
+        assert not report.ok
 
     def test_desintegration_identities_hold(self):
         report = check_desintegration(HALF, 3)
