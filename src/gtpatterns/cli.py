@@ -107,12 +107,11 @@ def _cmd_ctmc(args) -> int:
 def _cmd_experiment(args) -> int:
     if args.q is not None and args.which != "markov-marginal":
         raise ValueError(f"--q does not apply to {args.which}, whose q is set by --big-n")
-    q = _parse_q(args.q) if args.q is not None else None
     if args.which == "markov-marginal":
         report = experiments.experiment_markov_marginal(
             k=args.k,
             horizon=args.horizon,
-            q=q or Fraction(1, 2),
+            q=Fraction(1, 2) if args.q is None else _parse_q(args.q),
             n_paths=args.paths,
             seed=args.seed,
             radius=args.radius,

@@ -74,6 +74,8 @@ def experiment_markov_marginal(
 ) -> ComparisonReport:
     """Empirical law of the top row after `horizon` steps against the exact
     n-step law of the top-row kernel."""
+    if not threshold > 0:
+        raise ValueError("threshold must be > 0")
     # the argument checks come first, so a bad one costs no Monte Carlo
     sim = DiscreteSimulation(q, k, n_paths, seed)
     exact = n_step_law(Fraction(q), k, horizon, radius)
@@ -100,6 +102,8 @@ def experiment_ctmc_marginal(
 ) -> ComparisonReport:
     """Empirical top-row law of the exponential-clock model against the
     truncated matrix exponential of its generator."""
+    if not threshold > 0:
+        raise ValueError("threshold must be > 0")
     ref = semigroup_law(k, radius, t_max)  # checks radius before the Monte Carlo
     res = ctmc_simulate(k, t_max, n_paths, seed)
     emp = empirical_law([p[k - 1] for p in res.patterns])
@@ -136,6 +140,8 @@ def experiment_small_q(
 ) -> ComparisonReport:
     """With q = 1/N the discrete model run for [N t] steps approaches the
     exponential-clock model at time t; compare full-pattern laws by TV."""
+    if not threshold > 0:
+        raise ValueError("threshold must be > 0")
     if big_n < 2:
         raise ValueError("big_n must be >= 2")
     sim = DiscreteSimulation(1.0 / big_n, k, n_paths_discrete, seed)
@@ -163,6 +169,8 @@ def experiment_large_q(
 ) -> ComparisonReport:
     """With q = 1 - 1/N the rescaled top row X^k(n)/N approaches the
     eigenvalue chain with d = k + 1; per-coordinate two-sample KS."""
+    if not threshold > 0:
+        raise ValueError("threshold must be > 0")
     if big_n < 2:
         raise ValueError("big_n must be >= 2")
     d = k + 1

@@ -1,6 +1,11 @@
 """Random-matrix limit objects: the antisymmetric Gaussian matrix chain,
 its top eigenvalues, and the continuous transition density they follow.
 
+The chain for d <= 4 is sampled in closed form through
+so(4) = so(3) + so(3), with no d x d matrix; for d >= 5 it accumulates the
+matrices and takes a batched SVD per step. top_spectrum is the SVD oracle
+for both.
+
 Everything here is floating point; tolerances are stated per test. The
 scalar functions h_d, m_d and p_d_density take any sequence of coordinates
 (tuple, list or ndarray), convert it once and compute on Python floats:
@@ -46,7 +51,16 @@ def simulate_eigen_chain(
     """Sample paths of the top-eigenvalue chain.
 
     Returns an array of shape (n_steps, n_paths, d//2): the spectrum after
-    each accumulated increment.
+    each accumulated increment.  Each step draws v, then w, with shape
+    (n_paths, d), whatever d is.
+
+    For d <= 4 the spectrum is in closed form.  Padded with zero rows and
+    columns to 4 x 4, the accumulator A splits by so(4) = so(3) + so(3)
+    into the 3-vectors u+ = (a01 + a23, a02 - a13, a03 + a12) and
+    u- = (a01 - a23, a02 + a13, a03 - a12), and its top spectrum is
+    ((|u+| + |u-|)/2, ||u+| - |u-||/2).  No difference of squares is
+    taken, so the absolute error stays at eps * s1, as for the SVD.  For
+    d >= 5 each step takes the SVD of the (n_paths, d, d) accumulator.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -55,8 +69,29 @@ def simulate_eigen_chain(
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     rng = np.random.default_rng(seed)
-    acc = np.zeros((n_paths, d, d))
     out = np.empty((n_steps, n_paths, d // 2))
+    if d <= 4:
+        plus = np.zeros((n_paths, 3))
+        minus = np.zeros((n_paths, 3))
+        # columns d..3 stay zero: the padding to 4 x 4
+        v = np.zeros((n_paths, 4))
+        w = np.zeros((n_paths, 4))
+        for n in range(n_steps):
+            v[:, :d] = rng.standard_normal((n_paths, d))
+            w[:, :d] = rng.standard_normal((n_paths, d))
+            # with v = (v0, p) and w = (w0, r), the increment has
+            # (a01, a02, a03) = v0 r - w0 p and (a23, -a13, a12) = p x r
+            first = v[:, :1] * w[:, 1:] - w[:, :1] * v[:, 1:]
+            cross = np.cross(v[:, 1:], w[:, 1:])
+            plus += first + cross
+            minus += first - cross
+            norm_plus = np.linalg.norm(plus, axis=1)
+            norm_minus = np.linalg.norm(minus, axis=1)
+            out[n, :, 0] = (norm_plus + norm_minus) / 2
+            if d == 4:
+                out[n, :, 1] = np.abs(norm_plus - norm_minus) / 2
+        return out
+    acc = np.zeros((n_paths, d, d))
     for n in range(n_steps):
         v = rng.standard_normal((n_paths, d))
         w = rng.standard_normal((n_paths, d))

@@ -96,6 +96,9 @@ def test_usage_error_exit_code():
         ["kernel", "r", "--q", "1/2", "--y", "1,2"],
         ["kernel", "nu", "--q", "1/2", "--y", ""],
         ["experiment", "markov-marginal", "--k", "2", "--paths", "100", "--q", ""],
+        ["experiment", "markov-marginal", "--k", "2", "--paths", "100", "--q", "0"],
+        ["experiment", "markov-marginal", "--k", "2", "--paths", "100", "--q", "0.0"],
+        ["experiment", "markov-marginal", "--k", "2", "--paths", "100", "--tolerance", "0"],
     ],
 )
 def test_domain_error_is_one_line_and_exit_code_2(argv, capsys):

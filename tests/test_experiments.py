@@ -1,5 +1,6 @@
 """Experiment harnesses: argument checks come before the Monte Carlo."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ def no_monte_carlo(monkeypatch):
 
     monkeypatch.setattr(experiments.DiscreteSimulation, "run", fail)
     monkeypatch.setattr(experiments, "ctmc_simulate", fail)
+    monkeypatch.setattr(experiments, "simulate_eigen_chain", fail)
 
 
 @pytest.mark.parametrize("horizon,radius", [(3, -1), (0, 10)])
@@ -30,3 +32,28 @@ def test_ctmc_marginal_checks_before_simulating(no_monte_carlo):
         experiments.experiment_ctmc_marginal(
             k=2, t_max=1.0, n_paths=10, seed=1, radius=-1, threshold=0.1
         )
+
+
+@pytest.mark.parametrize("threshold", [0, -1, math.nan])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda t: experiments.experiment_markov_marginal(
+            k=2, horizon=1, q=Fraction(1, 2), n_paths=10, seed=1, radius=10, threshold=t
+        ),
+        lambda t: experiments.experiment_ctmc_marginal(
+            k=2, t_max=1.0, n_paths=10, seed=1, radius=10, threshold=t
+        ),
+        lambda t: experiments.experiment_small_q(
+            k=2, big_n=10, t_max=1.0, n_paths_discrete=10, n_paths_ctmc=10, seed=1,
+            threshold=t,
+        ),
+        lambda t: experiments.experiment_large_q(
+            k=3, big_n=10, n_steps=2, n_samples=10, seed=1, threshold=t
+        ),
+    ],
+    ids=["markov-marginal", "ctmc-marginal", "small-q", "large-q"],
+)
+def test_threshold_that_cannot_pass_is_rejected_first(no_monte_carlo, run, threshold):
+    with pytest.raises(ValueError, match="threshold must be > 0"):
+        run(threshold)

@@ -46,6 +46,25 @@ class TestSpectrum:
         assert np.all(out[:, :, 0] >= out[:, :, 1])
         assert np.all(out >= 0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_chain_matches_svd_of_rebuilt_matrices(self, d, seed):
+        """d <= 4 is closed form, d >= 5 the SVD loop; both must equal the SVD
+        of the accumulated matrices, rebuilt here in the chain's draw order."""
+        n_steps, n_paths = 3, 2000
+        out = simulate_eigen_chain(d, n_steps, n_paths, seed)
+        rng = np.random.default_rng(seed)
+        acc = np.zeros((n_paths, d, d))
+        for n in range(n_steps):
+            v = rng.standard_normal((n_paths, d))
+            w = rng.standard_normal((n_paths, d))
+            acc += v[:, :, None] * w[:, None, :] - w[:, :, None] * v[:, None, :]
+            expected = np.linalg.svd(acc, compute_uv=False)[..., ::2][..., : d // 2]
+            s1 = expected[:, :1]
+            assert np.all(np.abs(out[n] - expected) <= 1e-12 * s1)
+            assert np.all(out[n, :, 0] >= out[n, :, -1])
+            assert np.all(out[n] >= 0)
+
     def test_chain_rejects_d_below_two(self):
         with pytest.raises(ValueError, match="d must be >= 2"):
             simulate_eigen_chain(1, 2, 10, seed=0)

@@ -36,9 +36,13 @@ def test_traced_runs_are_counted_and_names_restored():
             k=2, big_n=10, t_max=0.5, n_paths_discrete=50, n_paths_ctmc=50, seed=1,
             threshold=1.0,
         )
+        experiments.experiment_large_q(
+            k=3, big_n=20, n_steps=2, n_samples=50, seed=1, threshold=1.0
+        )
     assert tracer.counts["dynamics.discrete.particle_steps"] > 0
     assert tracer.counts["dynamics.ctmc.events.calls"] > 0
     assert tracer.counts["dynamics.ctmc_simulate.paths"] == 50
+    assert tracer.counts["spectra.simulate_eigen_chain.path_steps"] == 100
     after = namespaces()
     for old, new in zip(before, after):
         assert old.keys() == new.keys()
