@@ -104,14 +104,26 @@ def _cmd_ctmc(args) -> int:
     return 0
 
 
+# the optional flags each experiment reads, with their defaults
+_EXPERIMENT_FLAGS = {
+    "markov-marginal": {"q": "1/2", "horizon": 1, "radius": 60},
+    "small-q": {"big_n": 200, "t_max": 1.0},
+    "large-q": {"big_n": 200, "horizon": 1},
+}
+
+
 def _cmd_experiment(args) -> int:
-    if args.q is not None and args.which != "markov-marginal":
-        raise ValueError(f"--q does not apply to {args.which}, whose q is set by --big-n")
+    reads = _EXPERIMENT_FLAGS[args.which]
+    for flag in ("q", "horizon", "t_max", "big_n", "radius"):
+        if getattr(args, flag) is None:
+            setattr(args, flag, reads.get(flag))
+        elif flag not in reads:
+            raise ValueError(f"--{flag.replace('_', '-')} does not apply to {args.which}")
     if args.which == "markov-marginal":
         report = experiments.experiment_markov_marginal(
             k=args.k,
             horizon=args.horizon,
-            q=Fraction(1, 2) if args.q is None else _parse_q(args.q),
+            q=_parse_q(args.q),
             n_paths=args.paths,
             seed=args.seed,
             radius=args.radius,
@@ -127,7 +139,7 @@ def _cmd_experiment(args) -> int:
             seed=args.seed,
             threshold=args.tolerance,
         )
-    elif args.which == "large-q":
+    else:
         report = experiments.experiment_large_q(
             k=args.k,
             big_n=args.big_n,
@@ -136,8 +148,6 @@ def _cmd_experiment(args) -> int:
             seed=args.seed,
             threshold=args.tolerance,
         )
-    else:
-        raise AssertionError(args.which)
     print(report.summary())
     _emit(args, report.to_dict())
     return 0 if report.passed else 1
@@ -202,13 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="theorem-level comparison experiments")
     p.add_argument("which", choices=["markov-marginal", "small-q", "large-q"])
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", default=None)
-    p.add_argument("--horizon", type=int, default=1)
-    p.add_argument("--t-max", type=float, default=1.0)
-    p.add_argument("--big-n", type=int, default=200)
+    # defaults per experiment: _EXPERIMENT_FLAGS
+    p.add_argument("--q")
+    p.add_argument("--horizon", type=int)
+    p.add_argument("--t-max", type=float)
+    p.add_argument("--big-n", type=int)
     p.add_argument("--paths", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--radius", type=int, default=60)
+    p.add_argument("--radius", type=int)
     p.add_argument("--tolerance", type=float, default=0.05)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_experiment)

@@ -12,7 +12,11 @@ Particle (l, j) is the j-th entry of row l.  Both simulators key their
 state by particle, and the keys present are the pattern's geometry: the
 upper-left neighbour of (l, j) is (l-1, j-1), the particle above it is
 (l-1, j), and a wall particle is one with no particle above; it reflects
-at 0.
+at 0.  A clock ring of the continuous-time model is one push/block rule:
+a right ring is blocked by an equal upper-left neighbour and pushes the
+equal column below, a left ring is blocked by an equal particle above and
+pushes the equal diagonal below, and a wall particle's left ring at 0
+reflects into a right ring.
 
 The single-step updates are pure functions of (state, noise).  The Monte
 Carlo simulators are vectorized over paths; a property test pins the
@@ -28,8 +32,6 @@ from fractions import Fraction
 import numpy as np
 
 from gtpatterns.patterns import Pattern, Row, count_patterns, is_nonneg_row, row_length
-
-INF = math.inf
 
 
 def particles(k: int) -> list[tuple[int, int]]:
@@ -91,12 +93,12 @@ def full_step_right(x_half: Pattern, noise: NoiseDraw) -> Pattern:
         row = list(tilde)
         upper_half = x_half[l - 2] if l >= 2 else None
         for i in range(l // 2):
-            cap = upper_half[i - 1] if i >= 1 else INF
+            cap = upper_half[i - 1] if i >= 1 else math.inf
             row[i] = int(min(cap, tilde[i] + noise.xi_full[(l, i + 1)]))
         if l % 2 == 1:
             j = m - 1
             moved = abs(half[j] + noise.xi_full[(l, m)] - noise.xi_half[(l, m)])
-            cap = upper_half[m - 2] if upper_half is not None else INF
+            cap = upper_half[m - 2] if upper_half is not None else math.inf
             row[j] = int(min(moved, cap))
         new.append(tuple(row))
     return tuple(new)
@@ -193,44 +195,24 @@ class DiscreteSimulation:
 # continuous-time model
 # ---------------------------------------------------------------------------
 
-def _ctmc_right(y: dict, i: int, j: int) -> None:
-    """Rightward attempt of particle (i, j): blocked by the upper-left
-    neighbour, otherwise pushes the maximal equal stack below it."""
+def ctmc_apply_event(y: dict, i: int, j: int, right: bool) -> None:
+    """Apply one clock ring of particle (i, j) to the state y, rightward if
+    right, else leftward.  An equal blocker, (i-1, j-1) for a right ring and
+    (i-1, j) for a left one, stops it; otherwise the mover and the chain of
+    equal particles below it, along (i+1, j) or (i+1, j+1), move one unit.
+    A wall particle's left ring at 0 reflects into a right ring.  The
+    neighbours are read from the keys of y."""
     value = y[(i, j)]
-    if (i - 1, j - 1) in y and y[(i - 1, j - 1)] == value:
+    if not right and value == 0 and (i - 1, j) not in y:
+        right = True
+    blocker = (i - 1, j - 1) if right else (i - 1, j)
+    if y.get(blocker) == value:
         return
-    while (i, j) in y and y[(i, j)] == value:
-        y[(i, j)] += 1
+    step, dj = (1, 0) if right else (-1, 1)
+    while y.get((i, j)) == value:
+        y[(i, j)] += step
         i += 1
-
-
-def _ctmc_left(y: dict, i: int, j: int) -> None:
-    """Leftward attempt of particle (i, j): wall particles reflect at zero,
-    free particles are blocked below or push the maximal equal diagonal."""
-    value = y[(i, j)]
-    if (i - 1, j) not in y:
-        if value == 0:
-            _ctmc_right(y, i, j)
-        else:
-            y[(i, j)] -= 1
-        return
-    if y[(i - 1, j)] == value:
-        return
-    while (i, j) in y and y[(i, j)] == value:
-        y[(i, j)] -= 1
-        i += 1
-        j += 1
-
-
-def ctmc_apply_event(y: dict, k: int, i: int, j: int, direction: str) -> None:
-    """Apply one clock ring of particle (i, j) to the k-row state y; the
-    rules read the neighbours from the keys of y."""
-    if direction == "right":
-        _ctmc_right(y, i, j)
-    elif direction == "left":
-        _ctmc_left(y, i, j)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
+        j += dj
 
 
 def ctmc_state_as_pattern(y: dict, k: int) -> Pattern:
@@ -260,7 +242,9 @@ def ctmc_simulate(k: int, t_max: float, n_paths: int, seed: int) -> CtmcResult:
     rng = np.random.default_rng(seed)
     keys = particles(k)
     top_keys = [key for key in keys if key[0] == k]
-    total_rate = 2 * len(keys)
+    # event 2n is particle n's right clock, event 2n+1 its left clock
+    events = [(i, j, right) for i, j in keys for right in (True, False)]
+    total_rate = len(events)
     finals: list[Pattern] = []
     top_time: dict[Row, float] = {}
     top_jumps: dict[tuple[Row, Row], int] = {}
@@ -273,10 +257,8 @@ def ctmc_simulate(k: int, t_max: float, n_paths: int, seed: int) -> CtmcResult:
             if t + dt > t_max:
                 top_time[top] = top_time.get(top, 0.0) + (t_max - t)
                 break
-            idx = rng.integers(0, total_rate)
-            i, j = keys[idx // 2]
-            direction = "right" if idx % 2 == 0 else "left"
-            ctmc_apply_event(y, k, i, j, direction)
+            i, j, right = events[rng.integers(0, total_rate)]
+            ctmc_apply_event(y, i, j, right)
             after = tuple(y[key] for key in top_keys)
             top_time[top] = top_time.get(top, 0.0) + dt
             if after != top:
@@ -332,11 +314,8 @@ def generator_matrix(k: int, radius: int) -> tuple[list[Row], np.ndarray]:
                 beta = tuple(
                     lam[j] + (sign if j == i else 0) for j in range(r)
                 )
-                if beta[i] < 0:
-                    continue
+                # rows leaving the cone have rate 0 and change no entry
                 rate = float(generator_rate(k, lam, beta))
-                if rate == 0.0:
-                    continue
                 out += rate
                 if beta in index:
                     a[s, index[beta]] += rate

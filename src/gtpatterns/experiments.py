@@ -76,6 +76,8 @@ def experiment_markov_marginal(
     n-step law of the top-row kernel."""
     if not threshold > 0:
         raise ValueError("threshold must be > 0")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     # the argument checks come first, so a bad one costs no Monte Carlo
     sim = DiscreteSimulation(q, k, n_paths, seed)
     exact = n_step_law(Fraction(q), k, horizon, radius)
@@ -104,6 +106,8 @@ def experiment_ctmc_marginal(
     truncated matrix exponential of its generator."""
     if not threshold > 0:
         raise ValueError("threshold must be > 0")
+    if not t_max > 0:
+        raise ValueError(f"t_max must be > 0, got {t_max}")
     ref = semigroup_law(k, radius, t_max)  # checks radius before the Monte Carlo
     res = ctmc_simulate(k, t_max, n_paths, seed)
     emp = empirical_law([p[k - 1] for p in res.patterns])
@@ -142,6 +146,8 @@ def experiment_small_q(
     exponential-clock model at time t; compare full-pattern laws by TV."""
     if not threshold > 0:
         raise ValueError("threshold must be > 0")
+    if not t_max > 0:
+        raise ValueError(f"t_max must be > 0, got {t_max}")
     if big_n < 2:
         raise ValueError("big_n must be >= 2")
     sim = DiscreteSimulation(1.0 / big_n, k, n_paths_discrete, seed)
@@ -171,6 +177,8 @@ def experiment_large_q(
     eigenvalue chain with d = k + 1; per-coordinate two-sample KS."""
     if not threshold > 0:
         raise ValueError("threshold must be > 0")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if big_n < 2:
         raise ValueError("big_n must be >= 2")
     d = k + 1

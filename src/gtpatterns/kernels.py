@@ -12,7 +12,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 from gtpatterns.patterns import (
     Row,
@@ -460,17 +459,9 @@ def enumerate_pair_states(k: int, bound: int) -> list[tuple[Row, Row]]:
     """All (z, y) in the level-k pair space with coordinates <= bound."""
     return [
         (z, y)
-        for y in _decreasing_rows(row_length(k), bound)
+        for y in states_in_box(k, bound)
         for z in lower_rows(k // 2, y)
     ]
-
-
-def _decreasing_rows(length: int, bound: int) -> list[Row]:
-    """Non-negative weakly decreasing rows with entries <= bound, in
-    lexicographic order."""
-    # drawn from (bound, ..., 0), they come in reverse lexicographic order
-    rows = itertools.combinations_with_replacement(range(bound, -1, -1), length)
-    return list(rows)[::-1]
 
 
 def check_intertwining(q: Fraction, k: int, bound: int) -> IdentityReport:
@@ -516,46 +507,35 @@ class SparseLaw:
 
 
 def states_in_box(k: int, radius: int) -> list[Row]:
-    """Non-negative weakly decreasing rows of length (k+1)//2, coords <= radius."""
+    """Non-negative weakly decreasing rows of length (k+1)//2 with entries
+    <= radius, in lexicographic order."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    return _decreasing_rows(row_length(k), radius)
+    # drawn from (radius, ..., 0), they come in reverse lexicographic order
+    rows = itertools.combinations_with_replacement(range(radius, -1, -1), row_length(k))
+    return list(rows)[::-1]
 
 
-def propagate(
-    start,
-    n: int,
-    states: list,
-    pmf: Callable,
-) -> SparseLaw:
-    """Law after n steps from start of the chain with kernel pmf(x, y),
-    truncated to states.  The kernel row from x is computed once over states
-    and keeps only its nonzero entries.  The deficit is the mass that left
-    states.
+def n_step_law(q: Fraction, k: int, n: int, radius: int) -> SparseLaw:
+    """Law of the top row after n steps from zero, truncated to the box
+    [0, radius].  The R_k row from each state is computed once over the box
+    and keeps only its nonzero entries.  The deficit is exact: R_k rows sum
+    to one, so any mass missing from the box is mass that escaped it.
     """
-    law = {start: Q(1)}
+    q = _check_q(q)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    states = states_in_box(k, radius)
+    law = {(0,) * row_length(k): Q(1)}
     rows: dict = {}
     for _ in range(n):
         new: dict = {}
         for x, px in law.items():
             row = rows.get(x)
             if row is None:
-                row = [(y, p) for y in states if (p := pmf(x, y)) != 0]
+                row = [(y, p) for y in states if (p := r_k_pmf(q, k, x, y)) != 0]
                 rows[x] = row
             for y, pxy in row:
                 new[y] = new.get(y, Q(0)) + px * pxy
         law = new
     return SparseLaw(support=law, tail_deficit=1 - sum(law.values(), Q(0)))
-
-
-def n_step_law(q: Fraction, k: int, n: int, radius: int) -> SparseLaw:
-    """Law of the top row after n steps from zero, truncated to the box
-    [0, radius].  The deficit is exact: R_k rows sum to one, so any mass
-    missing from the box is mass that escaped it.
-    """
-    q = _check_q(q)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return propagate(
-        (0,) * row_length(k), n, states_in_box(k, radius), lambda x, y: r_k_pmf(q, k, x, y)
-    )

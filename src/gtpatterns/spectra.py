@@ -16,6 +16,7 @@ than the arithmetic itself.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -101,21 +102,16 @@ def simulate_eigen_chain(
     return out
 
 
-_H_D_NORMS: dict[int, float] = {}
-
-
+@cache
 def _h_d_norm(d: int) -> float:
     """The normalizer of h_d, which depends on d only; computed once per d."""
-    c = _H_D_NORMS.get(d)
-    if c is None:
-        r = d // 2
-        c = 1.0
-        for i in range(1, r + 1):
-            for j in range(i + 1, r + 1):
-                c *= (j - i) * (d - j - i)
-            if d % 2:
-                c *= r + 0.5 - i
-        _H_D_NORMS[d] = c
+    r = d // 2
+    c = 1.0
+    for i in range(1, r + 1):
+        for j in range(i + 1, r + 1):
+            c *= (j - i) * (d - j - i)
+        if d % 2:
+            c *= r + 0.5 - i
     return c
 
 

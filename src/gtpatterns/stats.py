@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 
 def empirical_law(samples) -> dict:
     """Relative frequencies of hashable states."""
-    counts: dict = {}
-    for s in samples:
-        counts[s] = counts.get(s, 0) + 1
+    counts = Counter(samples)
     n = len(samples)
     if n == 0:
         raise ValueError("empty sample")

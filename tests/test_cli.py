@@ -99,6 +99,16 @@ def test_usage_error_exit_code():
         ["experiment", "markov-marginal", "--k", "2", "--paths", "100", "--q", "0"],
         ["experiment", "markov-marginal", "--k", "2", "--paths", "100", "--q", "0.0"],
         ["experiment", "markov-marginal", "--k", "2", "--paths", "100", "--tolerance", "0"],
+        ["experiment", "large-q", "--k", "2", "--paths", "300", "--big-n", "20", "--radius", "5"],
+        ["experiment", "large-q", "--k", "2", "--paths", "300", "--big-n", "20", "--t-max", "9"],
+        ["experiment", "small-q", "--k", "1", "--paths", "100", "--horizon", "7"],
+        ["experiment", "small-q", "--k", "1", "--paths", "100", "--radius", "3"],
+        ["experiment", "markov-marginal", "--k", "2", "--paths", "100", "--big-n", "3"],
+        ["experiment", "markov-marginal", "--k", "2", "--paths", "100", "--t-max", "7"],
+        ["experiment", "small-q", "--k", "2", "--t-max", "-1"],
+        ["experiment", "small-q", "--k", "2", "--t-max", "nan"],
+        ["experiment", "markov-marginal", "--k", "2", "--horizon", "0"],
+        ["experiment", "large-q", "--k", "2", "--horizon", "0"],
     ],
 )
 def test_domain_error_is_one_line_and_exit_code_2(argv, capsys):
@@ -108,3 +118,20 @@ def test_domain_error_is_one_line_and_exit_code_2(argv, capsys):
     assert captured.err.startswith("gtpatterns: error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "which,flag,value",
+    [
+        ("large-q", "--radius", "5"),
+        ("large-q", "--t-max", "9"),
+        ("large-q", "--q", "1/2"),
+        ("small-q", "--horizon", "7"),
+        ("small-q", "--radius", "3"),
+        ("markov-marginal", "--big-n", "3"),
+        ("markov-marginal", "--t-max", "7"),
+    ],
+)
+def test_flag_an_experiment_does_not_read_is_named(which, flag, value, capsys):
+    assert main(["experiment", which, "--k", "2", "--paths", "100", flag, value]) == 2
+    assert f"{flag} does not apply to {which}" in capsys.readouterr().err

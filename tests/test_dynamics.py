@@ -1,6 +1,7 @@
 """Discrete-time and continuous-time particle dynamics: single-step rules,
 validity preservation, vectorized/scalar agreement, and the top-row generator."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,8 @@ from gtpatterns.dynamics import (
     half_step_left,
     semigroup_law,
 )
-from gtpatterns.patterns import pattern_is_valid, row_length, zero_pattern
+from gtpatterns.kernels import states_in_box
+from gtpatterns.patterns import enumerate_patterns, pattern_is_valid, row_length, zero_pattern
 
 Q = Fraction
 
@@ -157,30 +159,29 @@ class TestCtmc:
         # whole equal column below it
         k = 3
         y = {(1, 1): 0, (2, 1): 0, (3, 1): 0, (3, 2): 0}
-        ctmc_apply_event(y, k, 1, 1, "right")
+        ctmc_apply_event(y, 1, 1, True)
         assert ctmc_state_as_pattern(y, k) == ((1,), (1,), (1, 0))
 
     def test_right_blocked_by_upper_left(self):
         k = 3
         y = {(1, 1): 0, (2, 1): 0, (3, 1): 0, (3, 2): 0}
         # (3, 2) sits level with its upper-left neighbour (2, 1): blocked
-        ctmc_apply_event(y, k, 3, 2, "right")
+        ctmc_apply_event(y, 3, 2, True)
         assert y[(3, 2)] == 0
         # (3, 1) has no upper-left neighbour and moves freely
-        ctmc_apply_event(y, k, 3, 1, "right")
+        ctmc_apply_event(y, 3, 1, True)
         assert y[(3, 1)] == 1
 
     def test_wall_reflection(self):
         y = {(1, 1): 0}
-        ctmc_apply_event(y, 1, 1, 1, "left")
+        ctmc_apply_event(y, 1, 1, False)
         assert y[(1, 1)] == 1  # reflected into a right attempt
-        ctmc_apply_event(y, 1, 1, 1, "left")
+        ctmc_apply_event(y, 1, 1, False)
         assert y[(1, 1)] == 0  # ordinary left move
 
     def test_left_blocked_by_row_above(self):
-        k = 2
         y = {(1, 1): 1, (2, 1): 1}
-        ctmc_apply_event(y, k, 2, 1, "left")
+        ctmc_apply_event(y, 2, 1, False)
         assert y[(2, 1)] == 1  # blocked: equal to the particle above
 
     def test_final_patterns_valid(self):
@@ -207,9 +208,52 @@ class TestCtmc:
         y = {p: 0 for p in particles}
         for _ in range(3000):
             i, j = particles[rng.integers(len(particles))]
-            direction = "right" if rng.integers(2) == 0 else "left"
-            ctmc_apply_event(y, k, i, j, direction)
+            ctmc_apply_event(y, i, j, rng.integers(2) == 0)
             assert pattern_is_valid(ctmc_state_as_pattern(y, k))
+
+    def test_event_rule_is_pinned(self):
+        """Every right and left ring of every particle, from every
+        non-negative pattern with k <= 5 rows and top row in the box of
+        radius 3, against a digest of the event rule's outputs."""
+        lines = []
+        for k in range(1, 6):
+            for top in states_in_box(k, 3):
+                for pat in enumerate_patterns(k, top):
+                    if any(v < 0 for row in pat for v in row):
+                        continue
+                    state = {
+                        (i, j): v for i, row in enumerate(pat, 1) for j, v in enumerate(row, 1)
+                    }
+                    for i, j in state:
+                        for right in (True, False):
+                            y = dict(state)
+                            ctmc_apply_event(y, i, j, right)
+                            direction = "right" if right else "left"
+                            lines.append(
+                                f"{pat}:{i},{j}:{direction}:{ctmc_state_as_pattern(y, k)}"
+                            )
+        assert len(lines) == 20188
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "29e3a77028ebd4e3e7af50359203926599d215d4e8fb7b963679317aeecb98fb"
+        )
+
+    def test_ctmc_simulate_is_pinned(self):
+        """Final patterns and top-row bookkeeping for k = 1..5 against a
+        digest; this pins the event table of ctmc_simulate.  The digest
+        depends on numpy's Generator streams for exponential and integers
+        draws (recorded with numpy 2.4.6)."""
+        parts = []
+        for k in range(1, 6):
+            res = ctmc_simulate(k, 1.5, 500, seed=k + 10)
+            parts.append(repr((
+                k,
+                res.patterns,
+                sorted(res.top_row_time.items()),
+                sorted(res.top_row_jumps.items()),
+            )))
+        assert hashlib.sha256("\n".join(parts).encode()).hexdigest() == (
+            "6a15dfdf00437cc71d588aec9c61b69a71fc73c5ad4d54082908cff1bc1f4edb"
+        )
 
 
 class TestGenerator:

@@ -20,7 +20,7 @@ def no_monte_carlo(monkeypatch):
 
 @pytest.mark.parametrize("horizon,radius", [(3, -1), (0, 10)])
 def test_markov_marginal_checks_before_simulating(no_monte_carlo, horizon, radius):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="horizon" if horizon < 1 else "radius"):
         experiments.experiment_markov_marginal(
             k=3, horizon=horizon, q=Fraction(1, 2), n_paths=10, seed=1, radius=radius,
             threshold=0.1,
@@ -57,3 +57,33 @@ def test_ctmc_marginal_checks_before_simulating(no_monte_carlo):
 def test_threshold_that_cannot_pass_is_rejected_first(no_monte_carlo, run, threshold):
     with pytest.raises(ValueError, match="threshold must be > 0"):
         run(threshold)
+
+
+@pytest.mark.parametrize(
+    "run,name",
+    [
+        (
+            lambda: experiments.experiment_ctmc_marginal(
+                k=2, t_max=-1, n_paths=10, seed=1, radius=10, threshold=0.1
+            ),
+            "t_max",
+        ),
+        (
+            lambda: experiments.experiment_small_q(
+                k=2, big_n=10, t_max=-1, n_paths_discrete=10, n_paths_ctmc=10, seed=1,
+                threshold=0.1,
+            ),
+            "t_max",
+        ),
+        (
+            lambda: experiments.experiment_large_q(
+                k=3, big_n=10, n_steps=0, n_samples=10, seed=1, threshold=0.1
+            ),
+            "n_steps",
+        ),
+    ],
+    ids=["ctmc-marginal", "small-q", "large-q"],
+)
+def test_time_argument_is_checked_under_its_own_name(no_monte_carlo, run, name):
+    with pytest.raises(ValueError, match=name):
+        run()
