@@ -64,10 +64,8 @@ def _cmd_kernel(args) -> int:
         value = kernels.p_d_closed(q, args.d, x, y)
     elif args.kernel == "rk":
         value = kernels.r_k_pmf(q, args.k, x, y)
-    elif args.kernel == "nu":
+    else:  # "nu"; argparse choices admit no other kernel
         value = kernels.nu_pmf(q, args.d, _single(y, "--y"))
-    else:
-        raise AssertionError(args.kernel)
     print(f"{value} ({float(value):.12g})")
     return 0
 
@@ -119,6 +117,11 @@ def _cmd_experiment(args) -> int:
             setattr(args, flag, reads.get(flag))
         elif flag not in reads:
             raise ValueError(f"--{flag.replace('_', '-')} does not apply to {args.which}")
+    # checked here so the messages name the flags, not the library parameters
+    if args.horizon is not None and args.horizon < 1:
+        raise ValueError(f"--horizon must be >= 1, got {args.horizon}")
+    if not args.tolerance > 0:
+        raise ValueError(f"--tolerance must be > 0, got {args.tolerance}")
     if args.which == "markov-marginal":
         report = experiments.experiment_markov_marginal(
             k=args.k,

@@ -235,8 +235,8 @@ def ctmc_simulate(k: int, t_max: float, n_paths: int, seed: int) -> CtmcResult:
     """Event-driven simulation: each particle carries two rate-1 clocks, so
     the next event is exponential with the total rate and the mover is
     uniform among (particle, direction) pairs."""
-    if t_max <= 0:
-        raise ValueError("t_max must be > 0")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     if k < 1 or n_paths < 1:
         raise ValueError(f"need k >= 1 and n_paths >= 1, got k={k}, n_paths={n_paths}")
     rng = np.random.default_rng(seed)

@@ -146,7 +146,11 @@ def nu_tail_bound(q: Fraction, d: int, m_max: int) -> Fraction:
 def pieri_decompose(d: int, lam: Row, m: int) -> dict[Row, int]:
     """Multiplicities M_{lam, gamma_m}(beta) in V_lam (x) V_gamma_m for SO(d).
 
-    Returns only the beta with non-zero multiplicity.
+    Returns only the beta with non-zero multiplicity: the number of (c, s)
+    with c a row of length n = (d-1)//2 interlacing |lam| and |beta| and
+    sum_{i<=n}(lam_i + beta_i - 2 c_i) + s = m.  The parities differ only in
+    the last coordinate: s in {0, 1} (0 when c_n = 0) for odd d, and
+    s = |lam_r - beta_r| with beta_r in [-c_n, c_n] for even d.
     """
     if d < 3:
         raise ValueError("d must be >= 3")
@@ -154,37 +158,20 @@ def pieri_decompose(d: int, lam: Row, m: int) -> dict[Row, int]:
         raise ValueError(f"lam not a valid SO({d}) weight: {lam}")
     if m < 0:
         raise ValueError("m must be >= 0")
-    r = d // 2
+    n = (d - 1) // 2
     mult: dict[Row, int] = {}
-    if d % 2 == 1:
-        # count (c, s) with c interlacing both lam and beta,
-        # sum(lam_i - c_i + beta_i - c_i) + s = m, s = 0 when c_r = 0;
-        # beta = (beta_1,) + tail with c interlacing beta, beta_1 set by the sum
-        for c in lower_rows(r, lam):
-            for s in (0, 1):
-                if s == 1 and c[-1] == 0:
-                    continue
-                target = m - s - (sum(lam) - sum(c)) + sum(c)
-                for tail in lower_rows(r - 1, c):
-                    beta_1 = target - sum(tail)
-                    if beta_1 >= c[0]:
-                        beta = (beta_1,) + tail
-                        mult[beta] = mult.get(beta, 0) + 1
-    else:
-        for c in lower_rows(r - 1, abs_row(lam)):
-            base = sum(lam[: r - 1]) - 2 * sum(c)
-            budget = m - base  # sum of beta_1..beta_{r-1} may not exceed this
-            for tail in lower_rows(r - 2, c):
-                for beta_1 in range(c[0], budget - sum(tail) + 1):
-                    head = (beta_1,) + tail
-                    resid = budget - sum(head)  # = |lam_r - beta_r|
-                    cap = c[-1]  # |beta_r| <= c_{r-1}
-                    for beta_r in {lam[-1] - resid, lam[-1] + resid}:
-                        if abs(beta_r) > cap:
-                            continue
-                        beta = head + (beta_r,)
-                        if row_value_ok(d - 1, beta):
-                            mult[beta] = mult.get(beta, 0) + 1
+    for c in lower_rows(n, abs_row(lam)):
+        # (s, end) of the last coordinate; the sum then fixes beta_1 >= c_1
+        if d % 2 == 1:
+            ends = [(s, ()) for s in range(2 if c[-1] else 1)]
+        else:
+            ends = [(abs(lam[-1] - b), (b,)) for b in range(-c[-1], c[-1] + 1)]
+        for tail in lower_rows(n - 1, c):
+            for cost, end in ends:
+                head = m - cost - sum(lam[:n]) + 2 * sum(c) - sum(tail)
+                if head >= c[0]:
+                    beta = (head,) + tail + end
+                    mult[beta] = mult.get(beta, 0) + 1
     return mult
 
 
@@ -214,28 +201,26 @@ def p_d_closed(q: Fraction, d: int, lam: Row, beta: Row) -> Fraction:
 def _p_d(q: Fraction, d: int, lam: Row, beta: Row) -> Fraction:
     """P_d(lam, beta) for q, d and weights already checked.
 
-    The closed form sums ratio (1-q)^(d-1) q^e_c over the rows c interlacing
-    lam and beta, divided by 1+q when d is even or c_r = 0, with
-    ratio = s_dim(beta) / s_dim(lam) and e_c = base - 2 sum(c) >= 0.  With
+    The closed form has one shape for both parities, with n = (d-1)//2: it
+    sums ratio (1-q)^(d-1) q^e_c over the rows c of length n interlacing |lam|
+    and |beta|, divided by 1+q when d is even or c_n = 0, where
+    ratio = s_dim(beta) / s_dim(lam), e_c = base - 2 sum(c) >= 0 and base sums
+    lam_i + beta_i over i <= n, plus |lam_r - beta_r| for even d.  With
     q = a/b in lowest terms and E = max e_c, that is one Fraction over
     s_dim(lam) b^(d-1+E) (a+b).  The rows c are a box of ranges, so the sum
     over c of a^e_c b^(E-e_c) is a^(base - 2 sum(hi)) times, per range of
-    n values ending at hi, g(n) = (b^2n - a^2n) / (b^2 - a^2).  A term
+    s values ending at hi, g(s) = (b^2s - a^2s) / (b^2 - a^2).  A term
     divided by 1+q carries b, any other a+b: for even d one more factor b;
-    for odd d the last range starts at c_r = 0, the one term divided by 1+q,
-    so its factor is (a+b) g(n_r) - a^(2n_r - 1).
+    for odd d the last range starts at c_n = 0, the one term divided by 1+q,
+    so its factor is (a+b) g(s_n) - a^(2s_n - 1).
     """
-    r = d // 2
-    if d % 2 == 1:
-        base = sum(lam) + sum(beta)
-        ranges = interlacing_ranges(r, lam, beta)
-    else:
-        base = sum(lam[: r - 1]) + sum(beta[: r - 1]) + abs(lam[-1] - beta[-1])
-        ranges = interlacing_ranges(r - 1, abs_row(lam), abs_row(beta))
+    n = (d - 1) // 2
+    ranges = interlacing_ranges(n, abs_row(lam), abs_row(beta))
+    base = sum(lam[:n]) + sum(beta[:n]) + (0 if d % 2 else abs(lam[-1] - beta[-1]))
     if not all(ranges):
         return Q(0)
     a, b = q.numerator, q.denominator
-    factors = [(b ** (2 * n) - a ** (2 * n)) // (b * b - a * a) for n in map(len, ranges)]
+    factors = [(b ** (2 * s) - a ** (2 * s)) // (b * b - a * a) for s in map(len, ranges)]
     if d % 2 == 1:
         factors[-1] = (a + b) * factors[-1] - a ** (2 * len(ranges[-1]) - 1)
     else:
@@ -273,10 +258,8 @@ def r_k_pmf(q: Fraction, k: int, x: Row, y: Row) -> Fraction:
         raise ValueError("states must be non-negative weakly decreasing rows")
     if len(x) != row_length(k) or len(y) != row_length(k):
         raise ValueError(f"states must have length {row_length(k)}")
-    if k == 1:
-        return r_pmf(q, x[0], y[0])
-    # nonnegative rows of length row_length(k) are valid SO(k+1) weights,
-    # and for odd k so is y with its last entry negated
+    # nonnegative rows of length row_length(k) are valid SO(k+1) weights, and
+    # for odd k so is y with its last entry negated (at k = 1, P_2 folds to r_pmf)
     value = _p_d(q, k + 1, x, y)
     if k % 2 == 1 and y[-1] != 0:
         value += _p_d(q, k + 1, x, y[:-1] + (-y[-1],))

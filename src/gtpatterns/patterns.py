@@ -111,20 +111,19 @@ def lower_rows(length: int, *uppers: Row) -> Iterator[Row]:
 def enumerate_lower_rows(upper: Row, length: int, signed_last: bool) -> list[Row]:
     """All rows x of the given length with |x| interlacing upper, in
     lexicographic order.  With signed_last, every row whose last entry is
-    m > 0 appears both as +m and -m.
+    m > 0 appears both as +m and -m: the last range [lo, hi] becomes
+    -hi..-lo followed by max(lo, 1)..hi.
     """
     if not is_nonneg_row(upper):
         raise ValueError(f"upper row must be non-negative weakly decreasing: {upper}")
     n = len(upper)
     if length not in (n - 1, n):
         raise ValueError(f"target length must be {n - 1} or {n}, got {length}")
-    rows: list[Row] = []
-    for combo in lower_rows(length, upper):
-        rows.append(combo)
-        if signed_last and combo and combo[-1] > 0:
-            rows.append(combo[:-1] + (-combo[-1],))
-    rows.sort()
-    return rows
+    ranges: list = interlacing_ranges(length, upper)
+    if signed_last and ranges:
+        lo, hi = ranges[-1].start, ranges[-1].stop - 1
+        ranges[-1] = [*range(-hi, 1 - lo), *range(max(lo, 1), hi + 1)]
+    return list(itertools.product(*ranges))
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,10 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,15 +113,45 @@ def test_usage_error_exit_code():
         ["experiment", "small-q", "--k", "2", "--t-max", "nan"],
         ["experiment", "markov-marginal", "--k", "2", "--horizon", "0"],
         ["experiment", "large-q", "--k", "2", "--horizon", "0"],
+        ["ctmc", "--k", "1", "--t-max", "nan", "--paths", "1"],
+        ["ctmc", "--k", "1", "--t-max", "inf", "--paths", "1"],
+        ["experiment", "small-q", "--k", "1", "--t-max", "inf", "--paths", "10"],
     ],
 )
 def test_domain_error_is_one_line_and_exit_code_2(argv, capsys):
+    if {"nan", "inf"} & set(argv):
+        # a non-finite time that slips through can loop forever, so it runs
+        # in a child process that the timeout ends
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gtpatterns.cli", *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        code = main(argv)
+        out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("gtpatterns: error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["experiment", "large-q", "--k", "2", "--horizon", "0"], "--horizon"),
+        (["experiment", "markov-marginal", "--k", "2", "--horizon", "0"], "--horizon"),
+        (["experiment", "markov-marginal", "--k", "2", "--tolerance", "0"], "--tolerance"),
+        (["experiment", "large-q", "--k", "2", "--tolerance", "nan"], "--tolerance"),
+    ],
+)
+def test_bad_experiment_value_names_its_flag(argv, flag, capsys):
     assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("gtpatterns: error: ")
-    assert captured.err.count("\n") == 1
-    assert "Traceback" not in captured.err
+    assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

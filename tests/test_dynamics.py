@@ -123,7 +123,7 @@ class TestDiscreteStep:
 
 
 class TestVectorizedSimulation:
-    @given(k=st.integers(1, 5), seed=st.integers(0, 10**6))
+    @given(k=st.integers(1, 6), seed=st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
     def test_matches_scalar_step(self, k, seed):
         n_paths = 16
@@ -143,6 +143,8 @@ class TestVectorizedSimulation:
                 _, scalars[p] = discrete_step(scalars[p], noise)
             assert sim.patterns() == scalars
         assert all(type(v) is int for pat in sim.patterns() for row in pat for v in row)
+        # every coordinate stays >= 0, wall particles included
+        assert all(v >= 0 for pat in sim.patterns() for row in pat for v in row)
 
     def test_geometric_draws_distribution(self):
         rng = np.random.default_rng(7)

@@ -87,3 +87,22 @@ def test_threshold_that_cannot_pass_is_rejected_first(no_monte_carlo, run, thres
 def test_time_argument_is_checked_under_its_own_name(no_monte_carlo, run, name):
     with pytest.raises(ValueError, match=name):
         run()
+
+
+@pytest.mark.parametrize("t_max", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda t: experiments.experiment_ctmc_marginal(
+            k=2, t_max=t, n_paths=10, seed=1, radius=10, threshold=0.1
+        ),
+        lambda t: experiments.experiment_small_q(
+            k=2, big_n=10, t_max=t, n_paths_discrete=10, n_paths_ctmc=10, seed=1,
+            threshold=0.1,
+        ),
+    ],
+    ids=["ctmc-marginal", "small-q"],
+)
+def test_non_finite_t_max_is_rejected_first(no_monte_carlo, run, t_max):
+    with pytest.raises(ValueError, match="t_max must be finite"):
+        run(t_max)

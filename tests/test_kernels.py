@@ -172,6 +172,22 @@ class TestPieri:
         rhs = sum(c * s_dim(d, beta) for beta, c in mult.items())
         assert lhs == rhs
 
+    def test_decomposition_grid_is_pinned(self):
+        """Multiplicities for every valid weight with entries in [-3, 3],
+        d = 3..8 and m < 7, both parities through the one loop."""
+        lines = []
+        for d in range(3, 9):
+            for lam in itertools.product(range(-3, 4), repeat=d // 2):
+                if not row_value_ok(d - 1, lam):
+                    continue
+                for m in range(7):
+                    mult = sorted(pieri_decompose(d, lam, m).items())
+                    lines.append(f"{d}:{lam}:{m}:{mult}")
+        assert len(lines) == 910
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "0b11e6a6a449373c130dc2bfc87ddc0988651e70a0ee2cabcecde09cb926569a"
+        )
+
     def test_mu_is_probability_in_beta(self):
         for d, lam, m in [(3, (2,), 3), (4, (2, 1), 2), (5, (2, 1), 3)]:
             total = sum(
@@ -323,8 +339,9 @@ class TestPdRandomRational:
 
 class TestTopRowKernel:
     def test_k1_is_reflected_walk(self):
-        for x, y in itertools.product(range(4), repeat=2):
-            assert r_k_pmf(HALF, 1, (x,), (y,)) == r_pmf(HALF, x, y)
+        for q in (HALF, Q(2, 7), Q(9, 10)):
+            for x, y in itertools.product(range(12), repeat=2):
+                assert r_k_pmf(q, 1, (x,), (y,)) == r_pmf(q, x, y)
 
     def test_even_k_matches_pd(self):
         assert r_k_pmf(HALF, 2, (1,), (2,)) == p_d_closed(HALF, 3, (1,), (2,))

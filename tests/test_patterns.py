@@ -1,11 +1,13 @@
 """Pattern combinatorics: interlacing, enumeration, counting, dimensions."""
 
+import hashlib
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtpatterns.kernels import states_in_box
 from gtpatterns.patterns import (
     count_patterns,
     enumerate_lower_rows,
@@ -94,6 +96,40 @@ def test_enumerate_lower_rows_signed_duplicates():
     assert (2, 0) in rows and (1, 1) in rows and (1, -1) in rows
     # zero last entry appears once
     assert sum(1 for r in rows if r == (2, 0)) == 1
+
+
+def test_enumerate_lower_rows_grid_is_pinned():
+    """Rows and their order for every small upper row, both target lengths
+    and both sign modes: signed rows come in lexicographic order without a
+    sort."""
+    lines = []
+    for n in range(4):
+        for upper in itertools.product(range(5), repeat=n):
+            if not is_nonneg_row(upper):
+                continue
+            for length in (n - 1, n):
+                if length < 0:
+                    continue
+                for signed in (False, True):
+                    rows = enumerate_lower_rows(upper, length, signed)
+                    lines.append(f"{upper}:{length}:{signed}:{rows}")
+    assert len(lines) == 222
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "cc519329bf5d994a037847ca80e3b3c10ae008fe1994b36bb549563f2996b425"
+    )
+
+
+def test_count_and_enumeration_order_are_pinned():
+    lines = [
+        f"{k}:{top}:{count_patterns(k, top)}:"
+        f"{list(enumerate_patterns(k, top)) if k <= 5 else ''}"
+        for k in range(1, 7)
+        for top in states_in_box(k, 3)
+    ]
+    assert len(lines) == 68
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "64c853949c5130a9ed0fc92f630d758d02724c71dd5008edeadae8f35a65a356"
+    )
 
 
 def test_count_small_cases():
