@@ -18,9 +18,15 @@ equal column below, a left ring is blocked by an equal particle above and
 pushes the equal diagonal below, and a wall particle's left ring at 0
 reflects into a right ring.
 
-The single-step updates are pure functions of (state, noise).  The Monte
-Carlo simulators are vectorized over paths; a property test pins the
-vectorized step to the scalar one.
+The single-step updates are pure functions of (state, noise).  The
+discrete Monte Carlo simulator is vectorized over paths; a property test
+pins the vectorized step to the scalar one.  Both simulators refuse a run
+whose expected work is over a fixed budget.
+
+The top row of the continuous-time model is Markov, with the
+ratio-of-dimensions rates of `generator_rate`.  Its law at a fixed time,
+`semigroup_law`, is in closed form: the reflection sum over the Weyl group
+of SO(k+1), one determinant of Bessel functions per state.
 """
 
 from __future__ import annotations
@@ -37,6 +43,35 @@ from gtpatterns.patterns import Pattern, Row, count_patterns, is_nonneg_row, row
 def particles(k: int) -> list[tuple[int, int]]:
     """The particles (l, j) of a k-row pattern, row by row."""
     return [(l, j) for l in range(1, k + 1) for j in range(1, row_length(l) + 1)]
+
+
+# Fixed work budgets, each at least 100 times the largest run in the test
+# suite (4e5 CTMC events, 8e7 discrete particle-steps), so that a finite
+# but huge time or horizon is refused at once instead of running for days.
+MAX_CTMC_EVENTS = 10**8
+MAX_PARTICLE_STEPS = 10**10
+
+
+def check_ctmc_budget(k: int, t_max: float, n_paths: int) -> None:
+    """Refuse a CTMC run whose expected number of clock rings,
+    2 len(particles(k)) t_max n_paths, is over MAX_CTMC_EVENTS."""
+    events = 2 * len(particles(k)) * t_max * n_paths
+    if events > MAX_CTMC_EVENTS:
+        raise ValueError(
+            f"t_max={t_max} with {n_paths} paths expects {events:.3g} CTMC events, "
+            f"over the budget of {MAX_CTMC_EVENTS:.0e}"
+        )
+
+
+def check_discrete_budget(k: int, steps: float, n_paths: int, what: str) -> None:
+    """Refuse a discrete run of `steps` steps whose particle-steps are over
+    MAX_PARTICLE_STEPS; `what` names the argument that set `steps`."""
+    work = steps * n_paths * len(particles(k))
+    if work > MAX_PARTICLE_STEPS:
+        raise ValueError(
+            f"{what} with {n_paths} paths needs {work:.3g} particle-steps, "
+            f"over the budget of {MAX_PARTICLE_STEPS:.0e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -175,6 +210,7 @@ class DiscreteSimulation:
     def run(self, horizon: int) -> None:
         if horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {horizon}")
+        check_discrete_budget(self.k, horizon, self.n_paths, f"horizon={horizon}")
         for _ in range(horizon):
             self.step()
 
@@ -239,6 +275,7 @@ def ctmc_simulate(k: int, t_max: float, n_paths: int, seed: int) -> CtmcResult:
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     if k < 1 or n_paths < 1:
         raise ValueError(f"need k >= 1 and n_paths >= 1, got k={k}, n_paths={n_paths}")
+    check_ctmc_budget(k, t_max, n_paths)
     rng = np.random.default_rng(seed)
     keys = particles(k)
     top_keys = [key for key in keys if key[0] == k]
@@ -271,7 +308,7 @@ def ctmc_simulate(k: int, t_max: float, n_paths: int, seed: int) -> CtmcResult:
 
 
 # ---------------------------------------------------------------------------
-# generator of the top-row marginal
+# the top-row marginal: its generator and its law at a fixed time
 # ---------------------------------------------------------------------------
 
 def generator_rate(k: int, lam: Row, beta: Row) -> Fraction:
@@ -295,41 +332,31 @@ def generator_rate(k: int, lam: Row, beta: Row) -> Fraction:
     return rate
 
 
-def generator_matrix(k: int, radius: int) -> tuple[list[Row], np.ndarray]:
-    """Substochastic generator of the top-row process restricted to the box
-    of rows with coordinates <= radius.  The diagonal accounts for all
-    outgoing rates, including jumps leaving the box, so the restricted
-    semigroup underestimates probabilities and 1 - sum is a certified
-    escape bound."""
+def semigroup_law(k: int, radius: int, t: float) -> dict[Row, float]:
+    """Law at time t, from zero, of the top-row process on the rows with
+    coordinates <= radius; 1 - sum is the exact mass outside the box.
+
+    Each coordinate steps +-1 at rate 1 each way, killed off the Weyl
+    chamber of SO(k+1) and conditioned by the dimension, so the law is the
+    reflection sum over the Weyl group, one r x r determinant per state:
+    with rho = (r-1, ..., 0) + 1/2 [k even], x = beta + rho and
+    f(a) = e^{-2t} I_a(2t), it is
+    dim(beta) det[f(x_i - rho_j) - (-1)^k f(x_i + rho_j)].  For odd k the
+    determinant sums over both signs of the last coordinate, which counts
+    a zero last coordinate twice, so that entry is halved."""
+    from scipy.special import ive
+
     from gtpatterns.kernels import states_in_box
 
     states = states_in_box(k, radius)
-    index = {s: n for n, s in enumerate(states)}
-    a = np.zeros((len(states), len(states)))
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     r = row_length(k)
-    for s, lam in enumerate(states):
-        out = 0.0
-        for i in range(r):
-            for sign in (1, -1):
-                beta = tuple(
-                    lam[j] + (sign if j == i else 0) for j in range(r)
-                )
-                # rows leaving the cone have rate 0 and change no entry
-                rate = float(generator_rate(k, lam, beta))
-                out += rate
-                if beta in index:
-                    a[s, index[beta]] += rate
-        a[s, s] -= out
-    return states, a
-
-
-def semigroup_law(k: int, radius: int, t: float) -> dict[Row, float]:
-    """Law of the top-row process at time t from zero, via the truncated
-    matrix exponential.  Substochastic: missing mass escaped the box."""
-    from scipy.linalg import expm
-
-    states, a = generator_matrix(k, radius)
-    p = expm(t * a)
-    zero = (0,) * row_length(k)
-    row = p[states.index(zero)]
-    return {s: float(row[n]) for n, s in enumerate(states) if row[n] > 0}
+    rho = np.arange(r - 1, -1, -1) + (0.5 if k % 2 == 0 else 0.0)
+    beta = np.array(states)
+    x = (beta + rho)[:, :, None]
+    law = np.linalg.det(ive(x - rho, 2 * t) - (-1) ** k * ive(x + rho, 2 * t))
+    law *= [count_patterns(k, s) for s in states]
+    if k % 2 == 1:
+        law[beta[:, -1] == 0] /= 2
+    return {s: float(p) for s, p in zip(states, law) if p > 0}

@@ -7,7 +7,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from gtpatterns.dynamics import DiscreteSimulation, ctmc_simulate, semigroup_law
+from gtpatterns.dynamics import (
+    DiscreteSimulation,
+    check_ctmc_budget,
+    check_discrete_budget,
+    ctmc_simulate,
+    semigroup_law,
+)
 from gtpatterns.kernels import (
     n_step_law,
     states_in_box,  # unused here; perfbench/tracer.py patches this name
@@ -101,8 +107,9 @@ def experiment_ctmc_marginal(
     radius: int,
     threshold: float,
 ) -> ComparisonReport:
-    """Empirical top-row law of the exponential-clock model against the
-    truncated matrix exponential of its generator."""
+    """Empirical top-row law of the exponential-clock model against its
+    exact law at t_max, the Weyl-group reflection sum of `semigroup_law`;
+    the deficit is the exact mass outside the box."""
     if not threshold > 0:
         raise ValueError("threshold must be > 0")
     if not 0 < t_max < math.inf:
@@ -149,6 +156,9 @@ def experiment_small_q(
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     if big_n < 2:
         raise ValueError("big_n must be >= 2")
+    # both budgets before any Monte Carlo, so that the message names t_max
+    check_discrete_budget(k, big_n * t_max, n_paths_discrete, f"t_max={t_max} at N={big_n}")
+    check_ctmc_budget(k, t_max, n_paths_ctmc)
     sim = DiscreteSimulation(1.0 / big_n, k, n_paths_discrete, seed)
     sim.run(int(big_n * t_max))
     x_law = empirical_law(sim.patterns())

@@ -185,7 +185,7 @@ def test_06_top_row_is_markov_with_exact_kernel(capsys, k, n, radius, tol, seed)
 
 def test_07_continuous_time_generator(capsys):
     """The exponential-clock top row follows the ratio-of-dimensions
-    generator: law at t=1 matches the matrix exponential, and the doubled
+    generator: law at t=1 matches its exact Weyl-group law, and the doubled
     wall rate is recovered empirically."""
     tv = experiment_ctmc_marginal(
         k=2, t_max=1.0, n_paths=100_000, seed=201, radius=25, threshold=0.02

@@ -75,6 +75,25 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def run_python(args, timeout=60):
+    """Run the interpreter with src/ on its path, in a child process that
+    the timeout ends."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("gtpatterns: error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -120,24 +139,44 @@ def test_usage_error_exit_code():
 )
 def test_domain_error_is_one_line_and_exit_code_2(argv, capsys):
     if {"nan", "inf"} & set(argv):
-        # a non-finite time that slips through can loop forever, so it runs
-        # in a child process that the timeout ends
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "gtpatterns.cli", *argv],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        # a non-finite time that slips through can loop forever
+        proc = run_python(["-m", "gtpatterns.cli", *argv])
         code, out, err = proc.returncode, proc.stdout, proc.stderr
     else:
         code = main(argv)
         out, err = capsys.readouterr()
-    assert code == 2
-    assert out == ""
-    assert err.startswith("gtpatterns: error: ")
-    assert err.count("\n") == 1
-    assert "Traceback" not in err
+    assert_usage_error(code, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["ctmc", "--k", "1", "--t-max", "1e12", "--paths", "1"], "t_max"),
+        (["experiment", "small-q", "--k", "1", "--t-max", "1e300", "--paths", "10"], "t_max"),
+        (["experiment", "small-q", "--k", "1", "--big-n", "10", "--t-max", "1e8", "--paths", "1"],
+         "t_max"),
+        (["simulate", "--k", "2", "--q", "1/2", "--horizon", "10000000000", "--paths", "1"],
+         "horizon"),
+    ],
+)
+def test_run_over_its_work_budget_is_refused(argv, name):
+    """A finite time or horizon whose work is over the fixed budget exits 2
+    at once; one that slipped through would run for days."""
+    proc = run_python(["-m", "gtpatterns.cli", *argv])
+    assert_usage_error(proc.returncode, proc.stdout, proc.stderr)
+    assert name in proc.stderr and "budget" in proc.stderr
+
+
+@pytest.mark.parametrize("module", ["gtpatterns.experiments", "gtpatterns.cli"])
+def test_import_loads_no_scipy(module):
+    """scipy costs more to import than the package itself, so only the
+    functions that need it import it, when called."""
+    proc = run_python([
+        "-c",
+        f"import sys, {module}; print([m for m in sys.modules if m.startswith('scipy')])",
+    ])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

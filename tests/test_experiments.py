@@ -106,3 +106,14 @@ def test_time_argument_is_checked_under_its_own_name(no_monte_carlo, run, name):
 def test_non_finite_t_max_is_rejected_first(no_monte_carlo, run, t_max):
     with pytest.raises(ValueError, match="t_max must be finite"):
         run(t_max)
+
+
+@pytest.mark.parametrize(
+    "big_n,t_max,work", [(200, 1e300, "particle-steps"), (10, 1e8, "CTMC events")]
+)
+def test_small_q_work_budget_is_checked_first(no_monte_carlo, big_n, t_max, work):
+    with pytest.raises(ValueError, match=f"t_max=.* {work}, over the budget"):
+        experiments.experiment_small_q(
+            k=1, big_n=big_n, t_max=t_max, n_paths_discrete=1, n_paths_ctmc=1, seed=1,
+            threshold=0.1,
+        )
