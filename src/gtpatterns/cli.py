@@ -233,6 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # the library mixes counts with floats, and an int past the float
+        # range overflows them; 2**63 is far past any run a budget admits
+        for flag, value in vars(args).items():
+            if flag != "seed" and type(value) is int and abs(value) >= 2**63:
+                raise ValueError(
+                    f"--{flag.replace('_', '-')} must be below 2**63, "
+                    f"got {len(str(abs(value)))} digits"
+                )
         return args.func(args)
     except ValueError as exc:
         print(f"gtpatterns: error: {exc}", file=sys.stderr)

@@ -45,31 +45,44 @@ def particles(k: int) -> list[tuple[int, int]]:
     return [(l, j) for l in range(1, k + 1) for j in range(1, row_length(l) + 1)]
 
 
+def particle_count(k: int) -> int:
+    """len(particles(k)), without listing them."""
+    return (k + 1) ** 2 // 4
+
+
 # Fixed work budgets, each at least 100 times the largest run in the test
-# suite (4e5 CTMC events, 8e7 discrete particle-steps), so that a finite
-# but huge time or horizon is refused at once instead of running for days.
+# suite and the benchmark (8e5 CTMC events, 9.4e7 particle-steps), so that a
+# huge time, horizon or path count is refused at once instead of running
+# for hours or exhausting memory.  Besides its clock rings or
+# particle-steps, a run pays per particle for the state each path holds
+# and for each discrete step's fixed Python cost (about 25 us, the vector
+# work of 1000 paths), each counted in the budget's unit.
 MAX_CTMC_EVENTS = 10**8
 MAX_PARTICLE_STEPS = 10**10
+STEP_PATHS = 1000  # a discrete step's fixed cost, in paths
+STATE_STEPS = 64  # a discrete path's state, in steps
 
 
 def check_ctmc_budget(k: int, t_max: float, n_paths: int) -> None:
-    """Refuse a CTMC run whose expected number of clock rings,
-    2 len(particles(k)) t_max n_paths, is over MAX_CTMC_EVENTS."""
-    events = 2 * len(particles(k)) * t_max * n_paths
-    if events > MAX_CTMC_EVENTS:
+    """Refuse a CTMC run whose work, 2 particles (t_max + 1) n_paths rings
+    (each path's state and final pattern counted as one more unit of time),
+    is over MAX_CTMC_EVENTS."""
+    work = 2 * particle_count(k) * (t_max + 1) * n_paths
+    if work > MAX_CTMC_EVENTS:
         raise ValueError(
-            f"t_max={t_max} with {n_paths} paths expects {events:.3g} CTMC events, "
+            f"t_max={t_max} with {n_paths} paths is the work of {work:.3g} CTMC events, "
             f"over the budget of {MAX_CTMC_EVENTS:.0e}"
         )
 
 
 def check_discrete_budget(k: int, steps: float, n_paths: int, what: str) -> None:
-    """Refuse a discrete run of `steps` steps whose particle-steps are over
-    MAX_PARTICLE_STEPS; `what` names the argument that set `steps`."""
-    work = steps * n_paths * len(particles(k))
+    """Refuse a discrete run of `steps` steps whose work,
+    particles (steps + STATE_STEPS) (n_paths + STEP_PATHS) particle-steps,
+    is over MAX_PARTICLE_STEPS; `what` names the argument that set `steps`."""
+    work = particle_count(k) * (steps + STATE_STEPS) * (n_paths + STEP_PATHS)
     if work > MAX_PARTICLE_STEPS:
         raise ValueError(
-            f"{what} with {n_paths} paths needs {work:.3g} particle-steps, "
+            f"{what} with {n_paths} paths is the work of {work:.3g} particle-steps, "
             f"over the budget of {MAX_PARTICLE_STEPS:.0e}"
         )
 
@@ -169,6 +182,7 @@ class DiscreteSimulation:
             raise ValueError("q must be in (0,1)")
         if k < 1 or n_paths < 1:
             raise ValueError(f"need k >= 1 and n_paths >= 1, got k={k}, n_paths={n_paths}")
+        check_discrete_budget(k, 0, n_paths, "the state")
         self.k = k
         self.n_paths = n_paths
         self.rng = np.random.default_rng(seed)

@@ -15,6 +15,7 @@ from gtpatterns.dynamics import (
     semigroup_law,
 )
 from gtpatterns.kernels import (
+    check_law_budget,
     n_step_law,
     states_in_box,  # unused here; perfbench/tracer.py patches this name
 )
@@ -83,8 +84,11 @@ def experiment_markov_marginal(
         raise ValueError("threshold must be > 0")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    # the argument checks come first, so a bad one costs no Monte Carlo
+    # the argument and budget checks come first, so a bad one costs no
+    # Monte Carlo and no exact law
     sim = DiscreteSimulation(q, k, n_paths, seed)
+    check_law_budget(k, horizon, radius, "horizon")
+    check_discrete_budget(k, horizon, n_paths, f"horizon={horizon}")
     exact = n_step_law(Fraction(q), k, horizon, radius)
     sim.run(horizon)
     emp = empirical_law(rows_to_tuples(sim.row(k)))

@@ -89,8 +89,8 @@ def reflected_right_pmf(q: Fraction, b: int | float, x: int, y: int) -> Fraction
     """Law of min(b, |x + xi - xi'|): two-sided jump reflected at 0,
     blocked at b.  With b = math.inf it is r_pmf(q, x, y)."""
     q = _check_q(q)
-    if b < 0 or x < 0:
-        raise ValueError("b, x must be >= 0")
+    if not 0 <= x <= b:
+        raise ValueError(f"need 0 <= x <= b, got x={x}, b={b}")
     if not 0 <= y <= b:
         return Q(0)
     if y <= b - 1:
@@ -250,7 +250,8 @@ def p_d_series(
 # ---------------------------------------------------------------------------
 
 def r_k_pmf(q: Fraction, k: int, x: Row, y: Row) -> Fraction:
-    """Transition kernel of the top row of a k-row pattern."""
+    """Top-row kernel P_{k+1}(x, y) of a k-row pattern; for odd k and y_r > 0
+    times 1 + q^(2 min(x_r, y_r)), which adds P_{k+1} at y with y_r negated."""
     q = _check_q(q)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -258,11 +259,9 @@ def r_k_pmf(q: Fraction, k: int, x: Row, y: Row) -> Fraction:
         raise ValueError("states must be non-negative weakly decreasing rows")
     if len(x) != row_length(k) or len(y) != row_length(k):
         raise ValueError(f"states must have length {row_length(k)}")
-    # nonnegative rows of length row_length(k) are valid SO(k+1) weights, and
-    # for odd k so is y with its last entry negated (at k = 1, P_2 folds to r_pmf)
     value = _p_d(q, k + 1, x, y)
     if k % 2 == 1 and y[-1] != 0:
-        value += _p_d(q, k + 1, x, y[:-1] + (-y[-1],))
+        value *= 1 + q ** (2 * min(x[-1], y[-1]))
     return value
 
 
@@ -489,11 +488,42 @@ class SparseLaw:
         return sum(self.support.values(), Q(0))
 
 
+# Budgets of the exact laws, checked before any enumeration and each at
+# least 100 times the largest call in the test suite and the benchmark
+# (666 states, 2.1e5 units).  A box lists C(radius + r, r) rows.  The
+# Fractions of n_step_law grow with each step, so its n steps cost about
+# n^2 |box|^2 units of roughly 1 us; n = 3 at k = 5, radius 60 is 1.4e10.
+MAX_BOX_STATES = 10**6
+MAX_LAW_WORK = 2 * 10**10
+
+
+def box_size(k: int, radius: int) -> int:
+    """len(states_in_box(k, radius)), refused over MAX_BOX_STATES."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    size = math.comb(radius + row_length(k), row_length(k))
+    if size > MAX_BOX_STATES:
+        raise ValueError(
+            f"radius={radius} at k={k} gives a box over the budget of "
+            f"{MAX_BOX_STATES:.0e} states"
+        )
+    return size
+
+
+def check_law_budget(k: int, n: int, radius: int, what: str = "n") -> None:
+    """Refuse an n-step law whose box or n^2 |box|^2 is over its budget;
+    `what` names the argument that set n."""
+    if n**2 * box_size(k, radius) ** 2 > MAX_LAW_WORK:
+        raise ValueError(
+            f"{what}={n} at radius={radius}, k={k} is over the budget of "
+            f"{MAX_LAW_WORK:.0e} for n^2 |box|^2 in the exact law"
+        )
+
+
 def states_in_box(k: int, radius: int) -> list[Row]:
     """Non-negative weakly decreasing rows of length (k+1)//2 with entries
     <= radius, in lexicographic order."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    box_size(k, radius)
     # drawn from (radius, ..., 0), they come in reverse lexicographic order
     rows = itertools.combinations_with_replacement(range(radius, -1, -1), row_length(k))
     return list(rows)[::-1]
@@ -508,6 +538,7 @@ def n_step_law(q: Fraction, k: int, n: int, radius: int) -> SparseLaw:
     q = _check_q(q)
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_law_budget(k, n, radius)
     states = states_in_box(k, radius)
     law = {(0,) * row_length(k): Q(1)}
     rows: dict = {}

@@ -128,18 +128,19 @@ def enumerate_lower_rows(upper: Row, length: int, signed_last: bool) -> list[Row
 
 @lru_cache(maxsize=None)
 def count_patterns(k: int, lam: Row) -> int:
-    """Number of Gelfand-Tsetlin patterns with k rows and top row lam."""
+    """Number of Gelfand-Tsetlin patterns with k rows and top row lam: a sum
+    over unsigned rows mu below |lam|, weight 2 when row k-1 is signed and
+    mu ends in m > 0, for the rows ending in +m and -m."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not row_value_ok(k, lam):
         raise ValueError(f"invalid row-{k} value: {lam}")
     if k == 1:
         return 1
-    signed = (k - 1) % 2 == 1
-    total = 0
-    for mu in enumerate_lower_rows(abs_row(lam), row_length(k - 1), signed):
-        total += count_patterns(k - 1, mu)
-    return total
+    return sum(
+        count_patterns(k - 1, mu) * (2 if k % 2 == 0 and mu[-1] else 1)
+        for mu in lower_rows(row_length(k - 1), abs_row(lam))
+    )
 
 
 def enumerate_patterns(k: int, lam: Row) -> Iterator[Pattern]:

@@ -94,6 +94,9 @@ def assert_usage_error(code, out, err):
     assert "Traceback" not in err
 
 
+HUGE = "1" + "0" * 400  # past the float range
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -135,11 +138,15 @@ def assert_usage_error(code, out, err):
         ["ctmc", "--k", "1", "--t-max", "nan", "--paths", "1"],
         ["ctmc", "--k", "1", "--t-max", "inf", "--paths", "1"],
         ["experiment", "small-q", "--k", "1", "--t-max", "inf", "--paths", "10"],
+        ["experiment", "small-q", "--k", "1", "--big-n", HUGE],
+        ["experiment", "large-q", "--k", "1", "--big-n", HUGE],
+        ["ctmc", "--k", "1", "--t-max", "1", "--paths", HUGE],
     ],
 )
 def test_domain_error_is_one_line_and_exit_code_2(argv, capsys):
-    if {"nan", "inf"} & set(argv):
-        # a non-finite time that slips through can loop forever
+    if {"nan", "inf", HUGE} & set(argv):
+        # a non-finite time or a huge count that slips through can loop
+        # forever or exhaust memory
         proc = run_python(["-m", "gtpatterns.cli", *argv])
         code, out, err = proc.returncode, proc.stdout, proc.stderr
     else:
@@ -157,11 +164,29 @@ def test_domain_error_is_one_line_and_exit_code_2(argv, capsys):
          "t_max"),
         (["simulate", "--k", "2", "--q", "1/2", "--horizon", "10000000000", "--paths", "1"],
          "horizon"),
+        # one stored pattern per path, with a tiny time
+        (["ctmc", "--k", "1", "--t-max", "1e-9", "--paths", "1000000000"], "paths"),
+        # a fixed cost per step, with one path
+        (["simulate", "--k", "1", "--q", "1/2", "--horizon", "1000000000", "--paths", "1"],
+         "horizon"),
+        # the state alone, with no step
+        (["simulate", "--k", "1", "--q", "1/2", "--horizon", "0", "--paths", "10000000000"],
+         "paths"),
+        (["simulate", "--k", "100000", "--q", "1/2", "--horizon", "1", "--paths", "1"], "state"),
+        (["ctmc", "--k", "100000", "--t-max", "1", "--paths", "1"], "t_max"),
+        # the exact law: n^2 |box|^2 and the box itself
+        (["experiment", "markov-marginal", "--k", "1", "--horizon", "100000000", "--paths", "10"],
+         "horizon"),
+        (["experiment", "markov-marginal", "--k", "1", "--horizon", "100000", "--paths", "10"],
+         "horizon"),
+        (["experiment", "markov-marginal", "--k", "5", "--radius", "100000", "--paths", "10"],
+         "radius"),
     ],
 )
 def test_run_over_its_work_budget_is_refused(argv, name):
-    """A finite time or horizon whose work is over the fixed budget exits 2
-    at once; one that slipped through would run for days."""
+    """A finite time, horizon, radius or path count whose work is over the
+    fixed budget exits 2 at once; one that slipped through would run for
+    hours or exhaust memory."""
     proc = run_python(["-m", "gtpatterns.cli", *argv])
     assert_usage_error(proc.returncode, proc.stdout, proc.stderr)
     assert name in proc.stderr and "budget" in proc.stderr

@@ -21,6 +21,8 @@ from gtpatterns.dynamics import (
     generator_rate,
     geometric_draws,
     half_step_left,
+    particle_count,
+    particles,
     semigroup_law,
 )
 from gtpatterns.experiments import experiment_ctmc_marginal
@@ -28,6 +30,10 @@ from gtpatterns.kernels import states_in_box
 from gtpatterns.patterns import enumerate_patterns, pattern_is_valid, row_length, zero_pattern
 
 Q = Fraction
+
+
+def test_particle_count_matches_particles():
+    assert [particle_count(k) for k in range(1, 13)] == [len(particles(k)) for k in range(1, 13)]
 
 
 def noise_from_dicts(k, half, full):

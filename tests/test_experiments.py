@@ -11,9 +11,10 @@ from gtpatterns import experiments
 @pytest.fixture
 def no_monte_carlo(monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("the Monte Carlo ran before the arguments were checked")
+        raise AssertionError("the Monte Carlo or the exact law ran before the arguments were checked")
 
     monkeypatch.setattr(experiments.DiscreteSimulation, "run", fail)
+    monkeypatch.setattr(experiments, "n_step_law", fail)
     monkeypatch.setattr(experiments, "ctmc_simulate", fail)
     monkeypatch.setattr(experiments, "simulate_eigen_chain", fail)
 
@@ -23,6 +24,20 @@ def test_markov_marginal_checks_before_simulating(no_monte_carlo, horizon, radiu
     with pytest.raises(ValueError, match="horizon" if horizon < 1 else "radius"):
         experiments.experiment_markov_marginal(
             k=3, horizon=horizon, q=Fraction(1, 2), n_paths=10, seed=1, radius=radius,
+            threshold=0.1,
+        )
+
+
+@pytest.mark.parametrize(
+    "k,horizon,radius,name",
+    [(1, 10**8, 60, "horizon"), (1, 10**5, 60, "horizon"), (5, 1, 10**5, "radius")],
+)
+def test_markov_marginal_budgets_come_first(no_monte_carlo, k, horizon, radius, name):
+    """The exact law's cost grows with n^2 |box|^2, so a large horizon or
+    radius is refused before the law or the simulation runs."""
+    with pytest.raises(ValueError, match=f"{name}=.*budget"):
+        experiments.experiment_markov_marginal(
+            k=k, horizon=horizon, q=Fraction(1, 2), n_paths=10, seed=1, radius=radius,
             threshold=0.1,
         )
 
@@ -109,11 +124,14 @@ def test_non_finite_t_max_is_rejected_first(no_monte_carlo, run, t_max):
 
 
 @pytest.mark.parametrize(
-    "big_n,t_max,work", [(200, 1e300, "particle-steps"), (10, 1e8, "CTMC events")]
+    "big_n,t_max,work", [(200, 1e300, "particle-steps"), (10, 1.0, "CTMC events")]
 )
 def test_small_q_work_budget_is_checked_first(no_monte_carlo, big_n, t_max, work):
+    # one discrete path and 1e8 CTMC paths: at t_max = 1 only the CTMC
+    # budget is over, while any t_max that puts one CTMC path over it also
+    # gives the one discrete path over 1e8 steps, over its own budget
     with pytest.raises(ValueError, match=f"t_max=.* {work}, over the budget"):
         experiments.experiment_small_q(
-            k=1, big_n=big_n, t_max=t_max, n_paths_discrete=1, n_paths_ctmc=1, seed=1,
+            k=1, big_n=big_n, t_max=t_max, n_paths_discrete=1, n_paths_ctmc=10**8, seed=1,
             threshold=0.1,
         )

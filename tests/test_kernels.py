@@ -14,8 +14,10 @@ from gtpatterns.kernels import (
     IdentityReport,
     blocked_left_pmf,
     blocked_right_pmf,
+    box_size,
     check_desintegration,
     check_intertwining,
+    check_law_budget,
     enumerate_pair_states,
     gamma_row,
     geometric_pmf,
@@ -121,6 +123,12 @@ class TestElementaryLaws:
         tail = 2 * q**cut * cut
         for y in range(b + 1):
             assert abs(law.get(y, Q(0)) - reflected_right_pmf(q, b, x, y)) <= tail
+
+    @pytest.mark.parametrize("x,b", [(3, 1), (1, 0), (0, -1)])
+    def test_reflected_right_refuses_start_above_bound(self, x, b):
+        # the closed form at y = b assumes x <= b: (x, b) = (3, 1) gave 65/24
+        with pytest.raises(ValueError, match="need 0 <= x <= b"):
+            reflected_right_pmf(HALF, b, x, 1)
 
     @pytest.mark.parametrize("q", [HALF, Q(2, 7)])
     def test_unbounded_reflected_right_is_r(self, q):
@@ -358,6 +366,39 @@ class TestTopRowKernel:
             HALF, 4, (2, 1), (2, 0)
         )
 
+    @given(data=st.data(), k=st.sampled_from([3, 5, 7]), den=st.integers(2, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_odd_k_is_both_signs_of_p_d(self, data, k, den):
+        """Oracle: the two-evaluation definition, P_{k+1} at y plus, when
+        y_r > 0, P_{k+1} at y with y_r negated (k = 1, where P_2 is not
+        defined, is test_k1_is_reflected_walk)."""
+        q = Q(data.draw(st.integers(1, den - 1)), den)
+        x = abs_row(data.draw(so_weight(k + 1)))
+        y = abs_row(data.draw(so_weight(k + 1)))
+        expected = p_d_closed(q, k + 1, x, y)
+        if y[-1]:
+            expected += p_d_closed(q, k + 1, x, y[:-1] + (-y[-1],))
+        assert r_k_pmf(q, k, x, y) == expected
+
+    def test_grid_is_pinned(self):
+        """Every entry over states_in_box(k, 4) squared, k = 1..6; the lines
+        with k <= 5 are the 3,450-entry grid that a Weyl-formula form of R_k
+        must reproduce."""
+        lines = []
+        for q in (HALF, Q(2, 5)):
+            for k in range(1, 7):
+                for x, y in itertools.product(states_in_box(k, 4), repeat=2):
+                    p = r_k_pmf(q, k, x, y)
+                    lines.append(f"{q}:{k}:{x}:{y}:{p.numerator}/{p.denominator}")
+        assert len(lines) == 5900
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "36c75dd346430597ef6f05af943dd3bbcd227717890801ac8f4e6e692dcb9ac5"
+        )
+        head = [line for line in lines if int(line.split(":")[1]) <= 5]
+        assert hashlib.sha256("\n".join(head).encode()).hexdigest() == (
+            "75c53b544547dcfb9c14a50f717fb3ac480eeaeddc6466d0b694ff262605bb2f"
+        )
+
     @given(q=st.sampled_from([THIRD, HALF]), k=st.integers(1, 4))
     @settings(max_examples=8, deadline=None)
     def test_rows_sum_to_one(self, q, k):
@@ -523,6 +564,19 @@ class TestNStepLaw:
             "c57221b30cafd2bfe891635a29b367e07aa75b14fe20495aaaf6dbbd161bb642"
         )
         assert law.tail_deficit == Q(51869094519679483, 166020696663385964544)
+
+    def test_box_size_counts_states_in_box(self):
+        for k, radius in itertools.product(range(1, 7), range(6)):
+            assert box_size(k, radius) == len(states_in_box(k, radius))
+
+    def test_budgets_refuse_before_listing(self):
+        with pytest.raises(ValueError, match="radius=100000 .*budget"):
+            states_in_box(5, 10**5)
+        with pytest.raises(ValueError, match="n=100000 .*budget"):
+            n_step_law(HALF, 1, 10**5, 60)
+        # n = 3 at radius 60, k = 4 and 5, stays within the budget
+        for k in (4, 5):
+            check_law_budget(k, 3, 60)
 
     def test_deficit_shrinks_with_radius(self):
         small = n_step_law(HALF, 2, 2, 6)
