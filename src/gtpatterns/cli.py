@@ -59,13 +59,19 @@ def _cmd_kernel(args) -> int:
     q = _parse_q(args.q)
     x, y = _parse_row(args.x), _parse_row(args.y)
     if args.kernel == "r":
-        value = kernels.r_pmf(q, _single(x, "--x"), _single(y, "--y"))
+        x, y = _single(x, "--x"), _single(y, "--y")
+        kernels.check_entry_budget(q, 1, (x, y), "--x, --y")
+        value = kernels.r_pmf(q, x, y)
     elif args.kernel == "pd":
+        kernels.check_entry_budget(q, args.d - 1, x + y, "--d, --x, --y")
         value = kernels.p_d_closed(q, args.d, x, y)
     elif args.kernel == "rk":
+        kernels.check_entry_budget(q, args.k, x + y, "--k, --x, --y")
         value = kernels.r_k_pmf(q, args.k, x, y)
     else:  # "nu"; argparse choices admit no other kernel
-        value = kernels.nu_pmf(q, args.d, _single(y, "--y"))
+        m = _single(y, "--y")
+        kernels.check_entry_budget(q, args.d - 1, (m,), "--d, --y")
+        value = kernels.nu_pmf(q, args.d, m)
     print(f"{value} ({float(value):.12g})")
     return 0
 

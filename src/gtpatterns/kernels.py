@@ -392,12 +392,31 @@ class IdentityReport:
             self.violations.append((*case, lhs, rhs))
 
 
+# Budget of the identity checkers, estimated before any enumeration and
+# at least 100 times the largest check in the test suite and the benchmark
+# (4.9e4 at k = 4, bound 3, about 50 us per unit).  check_intertwining
+# pairs C(bound + k, k) pair states with each other, summed over at most
+# C(bound + k//2, k//2) lower rows, on rows of length about k/2: k pairs^2
+# lower.  check_desintegration sums over about bound^4 tuples.
+MAX_IDENTITY_WORK = 5 * 10**6
+
+
+def _log_comb(n: int, r: int) -> float:
+    """log C(n, r) in O(1), also where n and r are far too large to list."""
+    return math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
+
+
 def check_desintegration(q: Fraction, bound: int) -> IdentityReport:
     """Exhaustively verify the four summation identities behind the
     intertwining, for all admissible tuples with entries <= bound."""
     q = _check_q(q)
     if bound < 2:
         raise ValueError("bound must be >= 2")
+    if bound**4 > MAX_IDENTITY_WORK:
+        raise ValueError(
+            f"bound={bound} is over the budget of {MAX_IDENTITY_WORK:.0e} "
+            "for bound^4 in the desintegration check"
+        )
     report = IdentityReport()
     # (1): sum_u (1 + [u>0]) R(u, x) P^{u<-}(y, z) over u in [0, z]
     for x in range(bound + 1):
@@ -453,6 +472,12 @@ def check_intertwining(q: Fraction, k: int, bound: int) -> IdentityReport:
         raise ValueError("k must be >= 2")
     if bound < 0:
         raise ValueError("bound must be >= 0")
+    work = math.log(k) + 2 * _log_comb(bound + k, k) + _log_comb(bound + k // 2, k // 2)
+    if work > math.log(MAX_IDENTITY_WORK):
+        raise ValueError(
+            f"bound={bound} at k={k} is over the budget of {MAX_IDENTITY_WORK:.0e} "
+            "for k pairs^2 lower rows in the intertwining check"
+        )
     report = IdentityReport()
     pairs = enumerate_pair_states(k, bound)
     # the L_k row of each pair state: (x, L_k((z, y), (x, z, y))) per x
@@ -517,6 +542,35 @@ def check_law_budget(k: int, n: int, radius: int, what: str = "n") -> None:
         raise ValueError(
             f"{what}={n} at radius={radius}, k={k} is over the budget of "
             f"{MAX_LAW_WORK:.0e} for n^2 |box|^2 in the exact law"
+        )
+
+
+# Budgets of one kernel entry from the command line, where a coordinate is
+# not bounded by any box.  With coordinates summing to s, largest m, n of
+# them nonzero, at level k: q^e has at most (s + k) bits(q) bits, and the
+# pattern counts of the entry's rows sum at most about
+# k box(k-1) box(k-2) terms, box(j) = C(m + r, r) with r = min(r_j, n)
+# being the rows of level j with entries <= m and at most n nonzero (a row
+# below one with n nonzero entries has at most n).  The CLI prints no
+# integer past 4300 digits (14,300 bits) anyway; at the term budget r_k_pmf
+# at k = 3 takes about 0.5 s.
+MAX_ENTRY_BITS = 10**5
+MAX_ENTRY_TERMS = 10**7
+
+
+def check_entry_budget(q: Fraction, k: int, coords: Row, what: str) -> None:
+    """Refuse one kernel entry at level k whose coordinates make q^e or the
+    pattern counts too large; `what` names the arguments that set them."""
+    m = max(map(abs, coords), default=0)
+    n = sum(c != 0 for c in coords)
+    bits = (sum(map(abs, coords)) + k) * max(abs(q.numerator), q.denominator).bit_length()
+    rows = [min(row_length(j), n) for j in (k - 1, k - 2) if j > 0]
+    terms = math.log(max(k, 1)) + sum(_log_comb(m + r, r) for r in rows)
+    if bits > MAX_ENTRY_BITS or terms > math.log(MAX_ENTRY_TERMS):
+        raise ValueError(
+            f"{what}: coordinates up to {m} at level {k} are over the budget of "
+            f"one kernel entry, {MAX_ENTRY_BITS:.0e} bits of q^e and "
+            f"{MAX_ENTRY_TERMS:.0e} pattern-count terms"
         )
 
 

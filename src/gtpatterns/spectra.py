@@ -10,13 +10,15 @@ Everything here is floating point; tolerances are stated per test. The
 scalar functions h_d, m_d and p_d_density take any sequence of coordinates
 (tuple, list or ndarray), convert it once and compute on Python floats:
 they sit inside quadratures, where numpy scalar arithmetic would cost more
-than the arithmetic itself.
+than the arithmetic itself.  A quadrature holds the start x fixed, so
+p_d_density checks x and computes h_d(x) once per (d, x), in a bounded
+cache; y is converted on every call.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -173,9 +175,10 @@ def m_d(d: int, x, y) -> float:
     return _m(d, _floats(x, r, "x, y"), _floats(y, r, "x, y"))
 
 
-def p_d_density(d: int, x, y) -> float:
-    """Transition density of the top-eigenvalue chain:
-    p_d(x, y) = h_d(y) m_d(x, y) / h_d(x), for x in the open cone."""
+@lru_cache(maxsize=64)
+def _start(d: int, x: tuple) -> tuple[tuple[float, ...], float]:
+    """x as floats and h_d(x), for x in the open cone; cached per (d, x),
+    since a quadrature over y calls p_d_density with one x throughout."""
     if d < 2:
         raise ValueError("d must be >= 2")
     # a wrong length is reported as h_d reports it
@@ -184,6 +187,16 @@ def p_d_density(d: int, x, y) -> float:
     # h_d(x) > 0 alone passes an even number of negative factors
     if not (hx > 0.0 and x[-1] >= 0.0 and all(map(float.__gt__, x, x[1:]))):
         raise ValueError("x must lie in the interior of the spectral cone")
+    return x, hx
+
+
+def p_d_density(d: int, x, y) -> float:
+    """Transition density of the top-eigenvalue chain:
+    p_d(x, y) = h_d(y) m_d(x, y) / h_d(x), for x in the open cone.
+
+    The start x is checked and h_d(x) computed once per (d, x), in a
+    bounded cache; y is converted on every call."""
+    x, hx = _start(d, tuple(x))
     y = _floats(y, d // 2, "lam")
     return _h(d, y) * _m(d, x, y) / hx
 

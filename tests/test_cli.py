@@ -181,11 +181,18 @@ def test_domain_error_is_one_line_and_exit_code_2(argv, capsys):
          "horizon"),
         (["experiment", "markov-marginal", "--k", "5", "--radius", "100000", "--paths", "10"],
          "radius"),
+        # the identity checkers: k pairs^2 lower rows, and bound^4
+        (["intertwine", "--k", "4", "--q", "1/2", "--bound", "20"], "bound"),
+        (["desintegration", "--q", "1/2", "--bound", "100000"], "bound"),
+        # one kernel entry: the bits of q^e, and the pattern-count terms
+        (["kernel", "r", "--q", "2/3", "--x", "100000000", "--y", "1"], "--x"),
+        (["kernel", "rk", "--q", "2/3", "--k", "3", "--x", "100000000,0", "--y", "1,1"], "--x"),
+        (["kernel", "nu", "--q", "1/2", "--d", "1000000001", "--y", "1"], "--d"),
     ],
 )
 def test_run_over_its_work_budget_is_refused(argv, name):
-    """A finite time, horizon, radius or path count whose work is over the
-    fixed budget exits 2 at once; one that slipped through would run for
+    """A finite time, horizon, radius, bound, coordinate or path count whose
+    work is over the fixed budget exits 2 at once; one that slipped through would run for
     hours or exhaust memory."""
     proc = run_python(["-m", "gtpatterns.cli", *argv])
     assert_usage_error(proc.returncode, proc.stdout, proc.stderr)

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtpatterns import kernels
 from gtpatterns.kernels import (
     IdentityReport,
     blocked_left_pmf,
     blocked_right_pmf,
     box_size,
     check_desintegration,
+    check_entry_budget,
     check_intertwining,
     check_law_budget,
     enumerate_pair_states,
@@ -536,6 +538,49 @@ class TestPairKernels:
         assert report.checked > 0
         assert report.max_discrepancy == 0
         assert report.ok
+
+    def test_identity_budgets_come_first(self, monkeypatch):
+        """Each checker estimates its work before it lists anything; 100
+        times the largest check of the suite (k = 4 at bound 3, 4.9e4, and
+        bound 6) is within the budget."""
+        def listed(*args):
+            raise LookupError("enumerated")
+
+        monkeypatch.setattr(kernels, "enumerate_pair_states", listed)
+        monkeypatch.setattr(kernels, "r_pmf", listed)
+        with pytest.raises(ValueError, match="bound=20 at k=4 .*budget"):
+            check_intertwining(HALF, 4, 20)
+        with pytest.raises(ValueError, match="bound=0 at k=4611686018427387904 .*budget"):
+            check_intertwining(HALF, 2**62, 0)
+        with pytest.raises(ValueError, match="bound=100000 .*budget"):
+            check_desintegration(HALF, 10**5)
+        # 1.3e6, 1.2e6, 8.5e5 and 47^4 = 4.9e6
+        for k, bound in [(4, 5), (5, 4), (6, 3)]:
+            with pytest.raises(LookupError):
+                check_intertwining(HALF, k, bound)
+        with pytest.raises(LookupError):
+            check_desintegration(HALF, 47)
+        with pytest.raises(ValueError, match="bound=48 .*budget"):
+            check_desintegration(HALF, 48)
+
+    def test_entry_budget(self):
+        """One entry is refused past 1e5 bits of q^e or 1e7 pattern-count
+        terms, and nothing below."""
+        check_entry_budget(Q(2, 3), 1, (49999, 0), "--x, --y")
+        with pytest.raises(ValueError, match="--x, --y: .*100000000 .*budget"):
+            check_entry_budget(Q(2, 3), 1, (10**8, 1), "--x, --y")
+        with pytest.raises(ValueError, match="budget"):
+            check_entry_budget(Q(2, 3), 1, (50000, 0), "--x, --y")
+        # k = 3: 3 (m + 1)^2 terms, 9.7e6 at m = 1800 and 1.1e7 at m = 1900
+        check_entry_budget(HALF, 3, (1800, 0, 1, 1), "--k, --x, --y")
+        with pytest.raises(ValueError, match="up to 1900 at level 3 .*budget"):
+            check_entry_budget(HALF, 3, (1900, 0, 1, 1), "--k, --x, --y")
+        # nu's row (m, 0, ..., 0) has one nonzero entry: 8 (m + 1)^2 terms
+        check_entry_budget(HALF, 8, (1000,), "--d, --y")
+        with pytest.raises(ValueError, match="up to 1200 at level 8 .*budget"):
+            check_entry_budget(HALF, 8, (1200,), "--d, --y")
+        with pytest.raises(ValueError, match="--d, --y: .*budget"):
+            check_entry_budget(HALF, 10**9, (1,), "--d, --y")
 
 
 # ---------------------------------------------------------------------------

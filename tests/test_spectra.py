@@ -1,6 +1,8 @@
 """Random-matrix side: spectra of antisymmetric sums, the continuous
 transition density, and its Monte Carlo oracle."""
 
+import hashlib
+import itertools
 import math
 
 import mpmath
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
+from gtpatterns import spectra
 from gtpatterns.spectra import (
     h_d,
     h_d_degree,
@@ -199,6 +202,48 @@ class TestDensity:
         with pytest.raises(ValueError, match="interior of the spectral cone"):
             p_d_density(d, x, (2.0, 0.5))
 
+    def test_density_grid_is_pinned(self):
+        """Every float of p_d_density over a grid, bit for bit, at d = 2..9."""
+        lines = [
+            f"{d}:{x}:{y}:{p_d_density(d, x, y).hex()}"
+            for d in range(2, 10)
+            for x in itertools.combinations((4.0, 2.5, 1.25, 0.5), d // 2)
+            for y in itertools.combinations_with_replacement((5.0, 3.0, 2.0, 1.0, 0.0), d // 2)
+        ]
+        assert len(lines) == 640
+        assert sum(not line.endswith(":0x0.0p+0") for line in lines) == 167
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "b4fd8b3b614a7cc0d93275659fccb15383da90a574c6ab698bcbbe61e8011118"
+        )
+
+    @pytest.mark.parametrize("x", [(math.nan, 0.5), (1.0, 1.0), (0.6, 1.4)])
+    def test_refused_start_is_refused_again(self, x):
+        """A start outside the open cone raises on every call; the cache of
+        checked starts keeps none of them."""
+        spectra._start.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="interior of the spectral cone"):
+                p_d_density(4, x, (2.0, 0.5))
+        assert spectra._start.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("first", [tuple, list, np.array])
+    def test_start_of_any_sequence_gives_one_float(self, first):
+        """Whichever type of x fills the cache, every type reads one float."""
+        spectra._start.cache_clear()
+        y = (2.0, 0.5)
+        value = p_d_density(4, first((2, 1.25)), y)
+        for cast in (tuple, list, np.array):
+            assert p_d_density(4, cast((2.0, 1.25)), y) == value
+        spectra._start.cache_clear()
+        assert p_d_density(4, (2.0, 1.25), y) == value
+
+    def test_start_cache_is_bounded(self):
+        bound = spectra._start.cache_info().maxsize
+        assert bound is not None
+        for i in range(bound + 10):
+            p_d_density(4, (3.0 + i, 1.0), (2.0, 0.5))
+        assert spectra._start.cache_info().currsize <= bound
+
     @pytest.mark.parametrize("d", [1, 0])
     def test_density_rejects_d_below_two(self, d):
         with pytest.raises(ValueError, match="d must be >= 2"):
@@ -304,3 +349,38 @@ def test_density_matches_fifty_digit_closed_form(case):
         assert p_d_density(d, cast(x), cast(y)) == value
         assert h_d(d, cast(y)) == h_d(d, y)
         assert m_d(d, cast(x), cast(y)) == m_d(d, x, y)
+
+
+def _weyl_sum_density(d, x, y):
+    """(h_d(y)/h_d(x)) sum_w sgn(w) prod_i e^{-|y_i - (wx)_i|}/2 over the Weyl
+    group W of SO(d): the signed permutations w, with
+    sgn(w) = sgn(perm) (-1)^#flips, for odd d; for even d only those with an
+    even number of flips, summed also over y with y_r negated when y_r > 0.
+    A reflection sum, independent of the interlacing integral m_d."""
+    r = d // 2
+    ys = [y] if d % 2 or y[-1] == 0 else [y, (*y[:-1], -y[-1])]
+    total = 0.0
+    for perm in itertools.permutations(range(r)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        for flips in itertools.product((1, -1), repeat=r):
+            sign = (-1) ** inversions * math.prod(flips)
+            if d % 2 == 0 and math.prod(flips) < 0:
+                continue
+            wx = [f * x[p] for f, p in zip(flips, perm)]
+            for yy in ys:
+                total += sign * math.prod(math.exp(-abs(a - b)) / 2 for a, b in zip(yy, wx))
+    return h_d(d, y) / h_d(d, x) * total
+
+
+@given(d=st.integers(2, 9), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_density_matches_weyl_group_sum(d, data):
+    """p_d_density against the reflection sum over the Weyl group on the 1/16
+    grid: within 1e-10 relative where p > 0; where p = 0 the sum cancels to
+    at most 1e-7, since the support is decided by m_d's interlacing."""
+    x, y = data.draw(_cone_point(d // 2)), data.draw(_cone_point(d // 2))
+    value, oracle = p_d_density(d, x, y), _weyl_sum_density(d, x, y)
+    if value > 0:
+        assert abs(oracle - value) <= 1e-10 * value
+    else:
+        assert abs(oracle) <= 1e-7
