@@ -59,20 +59,31 @@ def _cmd_kernel(args) -> int:
     q = _parse_q(args.q)
     x, y = _parse_row(args.x), _parse_row(args.y)
     if args.kernel == "r":
+        flags = "--x, --y"
         x, y = _single(x, "--x"), _single(y, "--y")
-        kernels.check_entry_budget(q, 1, (x, y), "--x, --y")
+        kernels.check_entry_budget(q, 1, (x, y), flags)
         value = kernels.r_pmf(q, x, y)
     elif args.kernel == "pd":
-        kernels.check_entry_budget(q, args.d - 1, x + y, "--d, --x, --y")
+        flags = "--d, --x, --y"
+        kernels.check_entry_budget(q, args.d - 1, x + y, flags)
         value = kernels.p_d_closed(q, args.d, x, y)
     elif args.kernel == "rk":
-        kernels.check_entry_budget(q, args.k, x + y, "--k, --x, --y")
+        flags = "--k, --x, --y"
+        kernels.check_entry_budget(q, args.k, x + y, flags)
         value = kernels.r_k_pmf(q, args.k, x, y)
     else:  # "nu"; argparse choices admit no other kernel
+        flags = "--d, --y"
         m = _single(y, "--y")
-        kernels.check_entry_budget(q, args.d - 1, (m,), "--d, --y")
+        kernels.check_entry_budget(q, args.d - 1, (m,), flags)
         value = kernels.nu_pmf(q, args.d, m)
-    print(f"{value} ({float(value):.12g})")
+    try:
+        text = str(value)
+    except ValueError:  # Python prints no integer past sys.get_int_max_str_digits()
+        raise ValueError(
+            f"{flags}: the entry has a numerator or denominator over the budget "
+            f"of {sys.get_int_max_str_digits()} printed digits"
+        ) from None
+    print(f"{text} ({float(value):.12g})")
     return 0
 
 

@@ -20,7 +20,7 @@ from gtpatterns.kernels import (
     states_in_box,  # unused here; perfbench/tracer.py patches this name
 )
 from gtpatterns.patterns import row_length
-from gtpatterns.spectra import simulate_eigen_chain
+from gtpatterns.spectra import check_chain_budget, simulate_eigen_chain
 from gtpatterns.stats import (
     empirical_law,
     exact_law_to_floats,
@@ -195,6 +195,8 @@ def experiment_large_q(
     if big_n < 2:
         raise ValueError("big_n must be >= 2")
     d = k + 1
+    # before any Monte Carlo, so that the message names the horizon
+    check_chain_budget(d, n_steps, n_samples, f"horizon={n_steps} with {n_samples} paths")
     sim = DiscreteSimulation(1.0 - 1.0 / big_n, k, n_samples, seed)
     sim.run(n_steps)
     xs = sim.row(k) / big_n  # every simulated coordinate is >= 0

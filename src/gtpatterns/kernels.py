@@ -3,7 +3,9 @@
 Everything here is evaluated in rational arithmetic: with q a Fraction,
 every probability returned is a Fraction.  Kernels over infinite state
 spaces are exposed as pointwise pmf evaluators; finite row materializers
-carry an explicit tail deficit.
+carry an explicit tail deficit.  The one-coordinate laws and S_k are integer
+pairs (numerator, denominator) over q = a/b in lowest terms, so Q_k builds
+one Fraction per nonzero summand; each distinct pair state is checked once.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from gtpatterns.patterns import (
     Row,
@@ -52,24 +55,16 @@ def geometric_pmf(q: Fraction, x: int) -> Fraction:
 def r_pmf(q: Fraction, x: int, y: int) -> Fraction:
     """Symmetrized two-sided geometric law: the law of |x + xi - xi'|."""
     q = _check_q(q)
-    if x < 0 or y < 0:
-        raise ValueError("x, y must be >= 0")
-    c = (1 - q) / (1 + q)
-    if y >= 1:
-        return c * (q ** abs(x - y) + q ** (x + y))
-    return c * q**x
+    return Fraction(*_r(q.numerator, q.denominator, x, y))
 
 
 def blocked_left_pmf(q: Fraction, a: int, x: int, y: int) -> Fraction:
-    """Law of max(a, x - xi): a single leftward geometric jump blocked at a."""
+    """Law of max(a, x - xi): a single leftward geometric jump blocked at a,
+    the mirror image -min(-a, -x + xi) of blocked_right_pmf."""
     q = _check_q(q)
     if a > x:
         raise ValueError(f"need a <= x, got a={a}, x={x}")
-    if not a <= y <= x:
-        return Q(0)
-    if y >= a + 1:
-        return (1 - q) * q ** (x - y)
-    return q ** (x - a)
+    return Fraction(*_blocked_right(q.numerator, q.denominator, -a, -x, -y))
 
 
 def blocked_right_pmf(q: Fraction, b: int | float, x: int, y: int) -> Fraction:
@@ -78,11 +73,7 @@ def blocked_right_pmf(q: Fraction, b: int | float, x: int, y: int) -> Fraction:
     q = _check_q(q)
     if x > b:
         raise ValueError(f"need x <= b, got x={x}, b={b}")
-    if not x <= y <= b:
-        return Q(0)
-    if y <= b - 1:
-        return (1 - q) * q ** (y - x)
-    return q ** (b - x)
+    return Fraction(*_blocked_right(q.numerator, q.denominator, b, x, y))
 
 
 def reflected_right_pmf(q: Fraction, b: int | float, x: int, y: int) -> Fraction:
@@ -91,14 +82,39 @@ def reflected_right_pmf(q: Fraction, b: int | float, x: int, y: int) -> Fraction
     q = _check_q(q)
     if not 0 <= x <= b:
         raise ValueError(f"need 0 <= x <= b, got x={x}, b={b}")
-    if not 0 <= y <= b:
-        return Q(0)
-    if y <= b - 1:
-        return r_pmf(q, x, y)  # below b the jump is not blocked
-    # y == b
-    if y > 0:
-        return q**b * (q**-x + q**x) / (1 + q)
-    return Q(1)
+    return Fraction(*_reflected_right(q.numerator, q.denominator, b, x, y))
+
+
+# The bodies of the laws above at q = a/b in lowest terms: integer pairs
+# (numerator, denominator) for a start already checked (r checks its own, so
+# S_k's wall keeps it).  Kernels that chain laws multiply the pairs.
+
+def _r(a: int, b: int, x: int, y: int) -> tuple[int, int]:
+    if x < 0 or y < 0:
+        raise ValueError("x, y must be >= 0")
+    if y == 0:  # c q^x with c = (1-q)/(1+q)
+        return (b - a) * a**x, (b + a) * b**x
+    # c (q^|x-y| + q^(x+y)), and x + y - |x-y| = 2 min(x, y)
+    m = min(x, y)
+    return (b - a) * a ** abs(x - y) * (b ** (2 * m) + a ** (2 * m)), (b + a) * b ** (x + y)
+
+
+def _blocked_right(a: int, b: int, hi: int | float, x: int, y: int) -> tuple[int, int]:
+    if not x <= y <= hi:
+        return 0, 1
+    if y <= hi - 1:  # (1-q) q^(y-x)
+        return (b - a) * a ** (y - x), b ** (y - x + 1)
+    return a ** (hi - x), b ** (hi - x)
+
+
+def _reflected_right(a: int, b: int, hi: int | float, x: int, y: int) -> tuple[int, int]:
+    if not 0 <= y <= hi:
+        return 0, 1
+    if y <= hi - 1:
+        return _r(a, b, x, y)  # below hi the jump is not blocked
+    if y > 0:  # y == hi: q^hi (q^-x + q^x) / (1+q)
+        return a ** (hi - x) * (b ** (2 * x) + a ** (2 * x)), (a + b) * b ** (hi + x - 1)
+    return 1, 1
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +288,12 @@ def r_k_pmf(q: Fraction, k: int, x: Row, y: Row) -> Fraction:
 PairState = tuple[Row | None, Row]  # (z, y); z is ignored by S_k
 
 
+# The pair kernels see the same few states on every call, so each distinct
+# state is checked once; a refused state raises and is not cached.
+STATE_CACHE = 1 << 14
+
+
+@lru_cache(maxsize=STATE_CACHE)
 def pair_state_ok(k: int, z: Row, y: Row) -> bool:
     """(z, y) lies in the pair state space of level k: z interlaces y,
     with len(z) = k//2 and len(y) = (k+1)//2."""
@@ -282,27 +304,38 @@ def pair_state_ok(k: int, z: Row, y: Row) -> bool:
     return interlaces(z, y)
 
 
+_interlaces = lru_cache(maxsize=STATE_CACHE)(interlaces)
+
+
 def s_k_pmf(q: Fraction, k: int, src: PairState, dst: tuple[Row, Row]) -> Fraction:
     """Pair-state kernel S_k((z, y), (z', y')).  Reads only y from src.
 
     (1-q)^(2 len z') (s_k(y') / s_k(y)) q^sum_i(y_i + y'_i - 2 z'_i) over
     i < len z', times r_pmf(y_r, y'_r) of the wall for odd k, or divided by
-    1+q for even k when z' ends in 0."""
+    1+q for even k when z' ends in 0.  Evaluated as one integer pair over
+    q = a/b; each distinct state is checked once, in a bounded cache."""
     q = _check_q(q)
     if k < 1:
         raise ValueError("k must be >= 1")
     y = src[1]
     z2, y2 = dst
-    if not (pair_state_ok(k, z2, y2) and interlaces(z2, y)):
+    if not (pair_state_ok(k, z2, y2) and _interlaces(z2, y)):
         return Q(0)
-    ratio = Fraction(count_patterns(k, y2), count_patterns(k, y))
-    expo = sum(a + b - 2 * c for a, b, c in zip(y, y2, z2))
-    value = (1 - q) ** (2 * len(z2)) * ratio * q**expo
+    return Fraction(*_s_k(q.numerator, q.denominator, k, y, z2, y2))
+
+
+def _s_k(a: int, b: int, k: int, y: Row, z2: Row, y2: Row) -> tuple[int, int]:
+    """s_k_pmf at q = a/b, for z2 interlacing y and y2 (so expo >= 0)."""
+    n = len(z2)
+    expo = sum(c + d - 2 * e for c, d, e in zip(y, y2, z2))
+    num = (b - a) ** (2 * n) * count_patterns(k, y2) * a**expo
+    den = b ** (2 * n + expo) * count_patterns(k, y)
     if k % 2 == 1:
-        return value * r_pmf(q, y[-1], y2[-1])
-    if z2[-1] == 0:
-        value /= 1 + q
-    return value
+        wall_num, wall_den = _r(a, b, y[-1], y2[-1])
+        return num * wall_num, den * wall_den
+    if z2[-1] == 0:  # divided by 1 + q = (a + b)/b
+        return num * b, den * (a + b)
+    return num, den
 
 
 def l_k_pmf(k: int, src: tuple[Row, Row], dst: tuple[Row, Row, Row]) -> Fraction:
@@ -336,7 +369,9 @@ def q_k_pmf(
     per coordinate i < len(x), with c = (inf,) + v, a left jump
     min(y_i, c_i) -> z2_i blocked at u_i and a right jump
     max(z2_i, x_i) -> y2_i blocked at c_i; for odd k, times the wall's
-    reflected jump min(y_{r-1}, c_{r-1}) -> y2_{r-1} blocked at c_{r-1}."""
+    reflected jump min(y_{r-1}, c_{r-1}) -> y2_{r-1} blocked at c_{r-1}.
+    The laws are integer pairs over q = a/b (a left jump is a mirrored right
+    one), multiplied onto the numerator and denominator of the S_{k-1} term."""
     q = _check_q(q)
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -346,9 +381,10 @@ def q_k_pmf(
         raise ValueError("pair components must lie in the level-k state space")
     if len(u) != k // 2 or len(x) != k // 2:
         raise ValueError(f"u and x must have length {k // 2}")
-    if not (interlaces(u, y) and interlaces(x, y2)):
+    if not (_interlaces(u, y) and _interlaces(x, y2)):
         raise ValueError("need u interlacing y and x interlacing y2")
 
+    a, b = q.numerator, q.denominator
     r = row_length(k)
     # v_i lies in [y2_{i+1}, min(x_i, z2_i)]; x and z2 interlace y2, so this
     # is the box of rows interlacing all three
@@ -357,14 +393,16 @@ def q_k_pmf(
         term = s_k_pmf(q, k - 1, (None, u), (v, x))
         if term == 0:
             continue
+        # a nonzero term has v interlacing u, so u_i <= c_i, and v lies below
+        # x and z2, so max(z2_i, x_i) <= c_i: each law's start is admissible
         c = (math.inf,) + v
-        for i in range(len(x)):
-            term *= blocked_left_pmf(q, u[i], min(y[i], c[i]), z2[i])
-            term *= blocked_right_pmf(q, c[i], max(z2[i], x[i]), y2[i])
+        laws = [_blocked_right(a, b, -u[i], -min(y[i], c[i]), -z2[i]) for i in range(len(x))]
+        laws += [_blocked_right(a, b, c[i], max(z2[i], x[i]), y2[i]) for i in range(len(x))]
         if k % 2 == 1:
-            b = c[r - 1]
-            term *= reflected_right_pmf(q, b, min(y[r - 1], b), y2[r - 1])
-        total += term
+            laws.append(_reflected_right(a, b, c[r - 1], min(y[r - 1], c[r - 1]), y2[r - 1]))
+        num = term.numerator * math.prod(law[0] for law in laws)
+        if num:
+            total += Fraction(num, term.denominator * math.prod(law[1] for law in laws))
     return total
 
 

@@ -48,6 +48,26 @@ def top_spectrum(a: np.ndarray) -> np.ndarray:
     return s[::2][: d // 2]
 
 
+# Budget of the eigenvalue chain's arrays, in floats, checked in O(1) before
+# any allocation and at least 100 times the largest chain in the test suite
+# and the benchmark (2e5 paths at d = 4 for 2 steps, 7.2e6 floats).  A chain
+# holds its (n_steps, n_paths, d//2) output and, per path, about 32 floats of
+# closed-form state at d <= 4, or at d >= 5 the d x d accumulator, two einsum
+# temporaries and the SVD's workspace.
+MAX_CHAIN_FLOATS = 10**9
+
+
+def check_chain_budget(d: int, n_steps: int, n_paths: int, what: str) -> None:
+    """Refuse a chain whose arrays are over MAX_CHAIN_FLOATS; `what` names
+    the arguments that set n_steps and n_paths."""
+    floats = n_paths * (n_steps * (d // 2) + (32 if d <= 4 else 4 * d * d))
+    if floats > MAX_CHAIN_FLOATS:
+        raise ValueError(
+            f"{what} holds {floats:.3g} floats in the eigenvalue chain, "
+            f"over the budget of {MAX_CHAIN_FLOATS:.0e}"
+        )
+
+
 def simulate_eigen_chain(
     d: int, n_steps: int, n_paths: int, seed: int
 ) -> np.ndarray:
@@ -71,6 +91,7 @@ def simulate_eigen_chain(
         raise ValueError("n_steps must be >= 1")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    check_chain_budget(d, n_steps, n_paths, f"n_steps={n_steps} with {n_paths} paths")
     rng = np.random.default_rng(seed)
     out = np.empty((n_steps, n_paths, d // 2))
     if d <= 4:

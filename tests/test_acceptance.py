@@ -143,7 +143,7 @@ def test_04_summation_identities_exact(capsys):
     )
 
 
-@pytest.mark.parametrize("k,bound", [(2, 4), (3, 4), (4, 3)])
+@pytest.mark.parametrize("k,bound", [(2, 4), (3, 4), (4, 3), (5, 3)])
 def test_05_intertwining_exact(capsys, k, bound):
     """L_k Q_k = S_k L_k with exact rational discrepancy zero."""
     ok = True

@@ -188,6 +188,12 @@ def test_domain_error_is_one_line_and_exit_code_2(argv, capsys):
         (["kernel", "r", "--q", "2/3", "--x", "100000000", "--y", "1"], "--x"),
         (["kernel", "rk", "--q", "2/3", "--k", "3", "--x", "100000000,0", "--y", "1,1"], "--x"),
         (["kernel", "nu", "--q", "1/2", "--d", "1000000001", "--y", "1"], "--d"),
+        # the eigenvalue chain's arrays; the discrete budget admits this run
+        (["experiment", "large-q", "--k", "3", "--horizon", "10000", "--paths", "200000"],
+         "horizon=10000 with 200000 paths"),
+        # within both entry budgets, but past the digits Python prints
+        (["kernel", "r", "--q", "2/3", "--x", "10000", "--y", "1"], "--x, --y"),
+        (["kernel", "r", "--q", "2/3", "--x", "9010", "--y", "1"], "--x, --y"),
     ],
 )
 def test_run_over_its_work_budget_is_refused(argv, name):
@@ -197,6 +203,15 @@ def test_run_over_its_work_budget_is_refused(argv, name):
     proc = run_python(["-m", "gtpatterns.cli", *argv])
     assert_usage_error(proc.returncode, proc.stdout, proc.stderr)
     assert name in proc.stderr and "budget" in proc.stderr
+
+
+def test_entry_at_the_printed_digit_limit_prints():
+    """r(9009, 1) at q = 2/3 has a 4300-digit denominator, exactly the
+    default limit; r(9010, 1), refused above, has 4301."""
+    proc = run_python(["-m", "gtpatterns.cli", "kernel", "r", "--q", "2/3", "--x", "9009", "--y", "1"])
+    assert proc.returncode == 0, proc.stderr
+    fraction = proc.stdout.split()[0]
+    assert max(map(len, fraction.split("/"))) == 4300
 
 
 @pytest.mark.parametrize("module", ["gtpatterns.experiments", "gtpatterns.cli"])

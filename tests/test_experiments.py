@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gtpatterns import experiments
+from gtpatterns.dynamics import check_discrete_budget
 
 
 @pytest.fixture
@@ -134,4 +135,14 @@ def test_small_q_work_budget_is_checked_first(no_monte_carlo, big_n, t_max, work
         experiments.experiment_small_q(
             k=1, big_n=big_n, t_max=t_max, n_paths_discrete=1, n_paths_ctmc=10**8, seed=1,
             threshold=0.1,
+        )
+
+
+def test_large_q_chain_budget_comes_first(no_monte_carlo):
+    """10,000 steps of 2e5 paths at k = 3 are within the discrete budget, but
+    the eigenvalue chain would hold 4e9 floats: refused before either runs."""
+    check_discrete_budget(3, 10_000, 200_000, "horizon=10000")
+    with pytest.raises(ValueError, match="horizon=10000 with 200000 paths holds .*budget"):
+        experiments.experiment_large_q(
+            k=3, big_n=100, n_steps=10_000, n_samples=200_000, seed=1, threshold=0.1
         )

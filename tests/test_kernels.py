@@ -584,6 +584,146 @@ class TestPairKernels:
 
 
 # ---------------------------------------------------------------------------
+# the integer bodies against Fraction-arithmetic oracles
+# ---------------------------------------------------------------------------
+
+# The kernels evaluate integer pairs over q = a/b.  The oracles below write
+# the same laws directly in Fraction arithmetic.  At a = 1, a^e is 1 and
+# hides a wrong exponent, so q is drawn with 1 <= a < b.
+
+def fraction_r(q, x, y):
+    c = (1 - q) / (1 + q)
+    if y >= 1:
+        return c * (q ** abs(x - y) + q ** (x + y))
+    return c * q**x
+
+
+def fraction_blocked_left(q, a, x, y):
+    if not a <= y <= x:
+        return Q(0)
+    return (1 - q) * q ** (x - y) if y >= a + 1 else q ** (x - a)
+
+
+def fraction_blocked_right(q, b, x, y):
+    if not x <= y <= b:
+        return Q(0)
+    return (1 - q) * q ** (y - x) if y <= b - 1 else q ** (b - x)
+
+
+def fraction_reflected_right(q, b, x, y):
+    if not 0 <= y <= b:
+        return Q(0)
+    if y <= b - 1:
+        return fraction_r(q, x, y)
+    return q**b * (q**-x + q**x) / (1 + q) if y > 0 else Q(1)
+
+
+def fraction_s_k(q, k, y, z2, y2):
+    ok = (
+        len(z2) == k // 2 and len(y2) == row_length(k)
+        and all(a >= b >= 0 for a, b in zip(z2, z2[1:] + (0,)))
+        and all(a >= b >= 0 for a, b in zip(y2, y2[1:] + (0,)))
+        and interlaces(z2, y2) and interlaces(z2, y)
+    )
+    if not ok:
+        return Q(0)
+    ratio = Fraction(count_patterns(k, y2), count_patterns(k, y))
+    expo = sum(a + b - 2 * c for a, b, c in zip(y, y2, z2))
+    value = (1 - q) ** (2 * len(z2)) * ratio * q**expo
+    if k % 2 == 1:
+        return value * fraction_r(q, y[-1], y2[-1])
+    return value / (1 + q) if z2[-1] == 0 else value
+
+
+def fraction_q_k(q, k, src, dst):
+    (u, z, y), (x, z2, y2) = src, dst
+    r = row_length(k)
+    total = Q(0)
+    for v in lower_rows(r - 1, y2, x, z2):
+        term = fraction_s_k(q, k - 1, u, v, x)
+        c = (math.inf,) + v
+        for i in range(len(x)):
+            term *= fraction_blocked_left(q, u[i], min(y[i], c[i]), z2[i])
+            term *= fraction_blocked_right(q, c[i], max(z2[i], x[i]), y2[i])
+        if k % 2 == 1:
+            b = c[r - 1]
+            term *= fraction_reflected_right(q, b, min(y[r - 1], b), y2[r - 1])
+        total += term
+    return total
+
+
+q_any = st.integers(2, 40).flatmap(lambda b: st.integers(1, b - 1).map(lambda a: Q(a, b)))
+
+
+class TestIntegerBodies:
+    @given(q=q_any, lo=st.integers(0, 6), x=st.integers(0, 12), y=st.integers(-1, 14),
+           hi=st.integers(0, 12) | st.just(math.inf))
+    @settings(max_examples=300, deadline=None)
+    def test_one_coordinate_laws_match_fractions(self, q, lo, x, y, hi):
+        assert r_pmf(q, x, max(y, 0)) == fraction_r(q, x, max(y, 0))
+        if lo <= x:
+            assert blocked_left_pmf(q, lo, x, y) == fraction_blocked_left(q, lo, x, y)
+        if x <= hi:
+            assert blocked_right_pmf(q, hi, x, y) == fraction_blocked_right(q, hi, x, y)
+            assert reflected_right_pmf(q, hi, x, y) == fraction_reflected_right(q, hi, x, y)
+
+    @given(q=q_any, k=st.integers(2, 5), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_pair_kernels_match_fractions(self, q, k, data):
+        pairs = enumerate_pair_states(k, 3)
+        z, y = data.draw(st.sampled_from(pairs))
+        z2, y2 = data.draw(st.sampled_from(pairs))
+        u = data.draw(st.sampled_from(list(lower_rows(k // 2, y))))
+        x = data.draw(st.sampled_from(list(lower_rows(k // 2, y2))))
+        for level in (k, k - 1):
+            rows = states_in_box(level, 3)
+            src = data.draw(st.sampled_from(rows))
+            dst = data.draw(st.sampled_from(enumerate_pair_states(level, 3)))
+            assert s_k_pmf(q, level, (None, src), dst) == fraction_s_k(q, level, src, *dst)
+        value = q_k_pmf(q, k, (u, z, y), (x, z2, y2))
+        assert value == fraction_q_k(q, k, (u, z, y), (x, z2, y2))
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_intertwining_exact_at_two_fifths(self, k):
+        report = check_intertwining(Q(2, 5), k, 2)
+        assert report.checked > 0
+        assert report.ok and report.max_discrepancy == 0
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: r_pmf(Q(2, 5), -1, 0), "x, y must be >= 0"),
+            (lambda: blocked_left_pmf(Q(2, 5), 3, 2, 2), "need a <= x"),
+            (lambda: blocked_right_pmf(Q(2, 5), 2, 3, 3), "need x <= b"),
+            (lambda: reflected_right_pmf(Q(2, 5), 2, 3, 3), "need 0 <= x <= b"),
+            (lambda: s_k_pmf(Q(2, 5), 0, (None, ()), ((), ())), "k must be >= 1"),
+            # the wall term of odd k refuses a negative last entry of y
+            (lambda: s_k_pmf(Q(2, 5), 1, (None, (-1,)), ((), (0,))), "x, y must be >= 0"),
+            (lambda: s_k_pmf(Q(2, 5), 2, (None, (0, 1)), ((0,), (1,))), "weakly decreasing"),
+            (lambda: q_k_pmf(Q(2, 5), 2, ((0,), (2,), (1,)), ((0,), (0,), (1,))),
+             "pair components must lie"),
+            (lambda: q_k_pmf(Q(2, 5), 3, ((0, 0), (0,), (1, 0)), ((0,), (0,), (1, 0))),
+             "u and x must have length 1"),
+            (lambda: q_k_pmf(Q(2, 5), 2, ((2,), (0,), (1,)), ((0,), (0,), (1,))),
+             "need u interlacing y and x interlacing y2"),
+            (lambda: q_k_pmf(Q(2, 5), 2, ((0,), (0,), (1,)), ((3,), (0,), (1,))),
+             "need u interlacing y and x interlacing y2"),
+        ],
+    )
+    def test_refusals_repeat(self, call, message):
+        """A refused state raises on every call: the state caches keep only
+        answers, never a refusal."""
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_off_support_zero_repeats(self):
+        for _ in range(2):
+            assert s_k_pmf(Q(2, 5), 2, (None, (1,)), ((2,), (3,))) == 0
+            assert s_k_pmf(Q(2, 5), 2, (None, (1,)), ((1,), (3,))) != 0
+
+
+# ---------------------------------------------------------------------------
 # exact n-step laws
 # ---------------------------------------------------------------------------
 

@@ -14,6 +14,7 @@ from scipy.integrate import dblquad, quad
 
 from gtpatterns import spectra
 from gtpatterns.spectra import (
+    check_chain_budget,
     h_d,
     h_d_degree,
     m_d,
@@ -76,6 +77,24 @@ class TestSpectrum:
     def test_chain_rejects_no_paths(self, n_paths):
         with pytest.raises(ValueError, match="n_paths must be >= 1"):
             simulate_eigen_chain(4, 2, n_paths, seed=0)
+
+    def test_chain_budget_comes_first(self, monkeypatch):
+        """100 times the largest chains of the suite and the benchmark (2e5
+        paths at d = 4, 2,000 at d = 6) are within the budget; a chain over
+        it is refused before any draw or allocation."""
+        check_chain_budget(4, 2, 100 * 200_000, "d=4")
+        check_chain_budget(6, 3, 100 * 2000, "d=6")
+
+        def drawn(*args):
+            raise AssertionError("allocated before the budget was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", drawn)
+        monkeypatch.setattr(np, "empty", drawn)
+        with pytest.raises(ValueError, match="n_steps=10000 with 200000 paths .*budget"):
+            simulate_eigen_chain(4, 10_000, 200_000, seed=0)
+        # at d >= 5 the d x d accumulator dominates, even at one step
+        with pytest.raises(ValueError, match="n_steps=1 with 10000000 paths .*budget"):
+            simulate_eigen_chain(9, 1, 10**7, seed=0)
 
 
 class TestHd:
