@@ -37,7 +37,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from gtpatterns.patterns import Pattern, Row, count_patterns, is_nonneg_row, row_length
+from gtpatterns.patterns import (
+    Pattern, Row, check_budget, count_patterns, is_nonneg_row, row_length,
+)
 
 
 def particles(k: int) -> list[tuple[int, int]]:
@@ -67,24 +69,18 @@ def check_ctmc_budget(k: int, t_max: float, n_paths: int) -> None:
     """Refuse a CTMC run whose work, 2 particles (t_max + 1) n_paths rings
     (each path's state and final pattern counted as one more unit of time),
     is over MAX_CTMC_EVENTS."""
-    work = 2 * particle_count(k) * (t_max + 1) * n_paths
-    if work > MAX_CTMC_EVENTS:
-        raise ValueError(
-            f"t_max={t_max} with {n_paths} paths is the work of {work:.3g} CTMC events, "
-            f"over the budget of {MAX_CTMC_EVENTS:.0e}"
-        )
+    work = 2 * particle_count(k) * (Fraction(t_max) + 1) * n_paths
+    what = f"t_max={t_max} with {n_paths} paths is the work of"
+    check_budget(work, MAX_CTMC_EVENTS, what, "CTMC events")
 
 
 def check_discrete_budget(k: int, steps: float, n_paths: int, what: str) -> None:
     """Refuse a discrete run of `steps` steps whose work,
     particles (steps + STATE_STEPS) (n_paths + STEP_PATHS) particle-steps,
     is over MAX_PARTICLE_STEPS; `what` names the argument that set `steps`."""
-    work = particle_count(k) * (steps + STATE_STEPS) * (n_paths + STEP_PATHS)
-    if work > MAX_PARTICLE_STEPS:
-        raise ValueError(
-            f"{what} with {n_paths} paths is the work of {work:.3g} particle-steps, "
-            f"over the budget of {MAX_PARTICLE_STEPS:.0e}"
-        )
+    work = particle_count(k) * (Fraction(steps) + STATE_STEPS) * (n_paths + STEP_PATHS)
+    what = f"{what} with {n_paths} paths is the work of"
+    check_budget(work, MAX_PARTICLE_STEPS, what, "particle-steps")
 
 
 @dataclass(frozen=True)

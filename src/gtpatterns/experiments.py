@@ -161,7 +161,8 @@ def experiment_small_q(
     if big_n < 2:
         raise ValueError("big_n must be >= 2")
     # both budgets before any Monte Carlo, so that the message names t_max
-    check_discrete_budget(k, big_n * t_max, n_paths_discrete, f"t_max={t_max} at N={big_n}")
+    steps = big_n * Fraction(t_max)  # exact, where the float product may overflow to inf
+    check_discrete_budget(k, steps, n_paths_discrete, f"t_max={t_max} at N={big_n}")
     check_ctmc_budget(k, t_max, n_paths_ctmc)
     sim = DiscreteSimulation(1.0 / big_n, k, n_paths_discrete, seed)
     sim.run(int(big_n * t_max))

@@ -19,6 +19,7 @@ from functools import lru_cache
 from gtpatterns.patterns import (
     Row,
     abs_row,
+    check_budget,
     count_patterns,
     interlaces,
     interlacing_ranges,
@@ -145,16 +146,17 @@ def nu_pmf(q: Fraction, d: int, m: int) -> Fraction:
 def nu_tail_bound(q: Fraction, d: int, m_max: int) -> Fraction:
     """Rigorous upper bound on sum_{m > m_max} nu(m).
 
-    Uses s_{d-1}(gamma_m) = C(m+d-2, d-2) + C(m+d-3, d-2), whose one-step
-    growth ratio is at most (m+d-1)/(m+1); the tail is dominated by a
-    geometric series once q (m+d-1)/(m+1) < 1.
+    Uses s_{d-1}(gamma_m) = C(m+d-2, d-2) + C(m+d-3, d-2).  From m to m+1
+    the two binomials grow by (m+d-1)/(m+1) and (m+d-2)/m, so for m >= 1
+    the sum grows by at most (m+d-2)/m, a ratio decreasing in m; the tail
+    from m on is dominated by a geometric series once q (m+d-2)/m < 1.
     """
     q = _check_q(q)
     m = m_max + 1
-    rho = q * Fraction(m + d - 1, m + 1)
+    rho = q * Fraction(m + d - 2, m)
     while rho >= 1:
         m += 1
-        rho = q * Fraction(m + d - 1, m + 1)
+        rho = q * Fraction(m + d - 2, m)
     head = sum((nu_pmf(q, d, j) for j in range(m_max + 1, m)), Q(0))
     return head + nu_pmf(q, d, m) / (1 - rho)
 
@@ -439,9 +441,11 @@ class IdentityReport:
 MAX_IDENTITY_WORK = 5 * 10**6
 
 
-def _log_comb(n: int, r: int) -> float:
-    """log C(n, r) in O(1), also where n and r are far too large to list."""
-    return math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
+def _comb(n: int, r: int) -> int:
+    """C(n, r) for a budget: exact while min(r, n - r) <= 32, else the lower
+    bound C(n, 32) >= C(64, 32) > 1e18, over every budget by itself, so a
+    huge argument is priced at once."""
+    return math.comb(n, min(r, n - r, 32))
 
 
 def check_desintegration(q: Fraction, bound: int) -> IdentityReport:
@@ -450,11 +454,8 @@ def check_desintegration(q: Fraction, bound: int) -> IdentityReport:
     q = _check_q(q)
     if bound < 2:
         raise ValueError("bound must be >= 2")
-    if bound**4 > MAX_IDENTITY_WORK:
-        raise ValueError(
-            f"bound={bound} is over the budget of {MAX_IDENTITY_WORK:.0e} "
-            "for bound^4 in the desintegration check"
-        )
+    what = f"bound={bound} is the work of"
+    check_budget(bound**4, MAX_IDENTITY_WORK, what, "bound^4 tuples in the desintegration check")
     report = IdentityReport()
     # (1): sum_u (1 + [u>0]) R(u, x) P^{u<-}(y, z) over u in [0, z]
     for x in range(bound + 1):
@@ -510,12 +511,9 @@ def check_intertwining(q: Fraction, k: int, bound: int) -> IdentityReport:
         raise ValueError("k must be >= 2")
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    work = math.log(k) + 2 * _log_comb(bound + k, k) + _log_comb(bound + k // 2, k // 2)
-    if work > math.log(MAX_IDENTITY_WORK):
-        raise ValueError(
-            f"bound={bound} at k={k} is over the budget of {MAX_IDENTITY_WORK:.0e} "
-            "for k pairs^2 lower rows in the intertwining check"
-        )
+    work = k * _comb(bound + k, k) ** 2 * _comb(bound + k // 2, k // 2)
+    what = f"bound={bound} at k={k} is the work of"
+    check_budget(work, MAX_IDENTITY_WORK, what, "k pairs^2 lower rows in the intertwining check")
     report = IdentityReport()
     pairs = enumerate_pair_states(k, bound)
     # the L_k row of each pair state: (x, L_k((z, y), (x, z, y))) per x
@@ -564,23 +562,17 @@ def box_size(k: int, radius: int) -> int:
     """len(states_in_box(k, radius)), refused over MAX_BOX_STATES."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    size = math.comb(radius + row_length(k), row_length(k))
-    if size > MAX_BOX_STATES:
-        raise ValueError(
-            f"radius={radius} at k={k} gives a box over the budget of "
-            f"{MAX_BOX_STATES:.0e} states"
-        )
+    size = _comb(radius + row_length(k), row_length(k))
+    check_budget(size, MAX_BOX_STATES, f"radius={radius} at k={k} gives a box of", "states")
     return size
 
 
 def check_law_budget(k: int, n: int, radius: int, what: str = "n") -> None:
     """Refuse an n-step law whose box or n^2 |box|^2 is over its budget;
     `what` names the argument that set n."""
-    if n**2 * box_size(k, radius) ** 2 > MAX_LAW_WORK:
-        raise ValueError(
-            f"{what}={n} at radius={radius}, k={k} is over the budget of "
-            f"{MAX_LAW_WORK:.0e} for n^2 |box|^2 in the exact law"
-        )
+    work = n**2 * box_size(k, radius) ** 2
+    what = f"{what}={n} at radius={radius}, k={k} is the work of"
+    check_budget(work, MAX_LAW_WORK, what, "n^2 |box|^2 in the exact law")
 
 
 # Budgets of one kernel entry from the command line, where a coordinate is
@@ -603,13 +595,10 @@ def check_entry_budget(q: Fraction, k: int, coords: Row, what: str) -> None:
     n = sum(c != 0 for c in coords)
     bits = (sum(map(abs, coords)) + k) * max(abs(q.numerator), q.denominator).bit_length()
     rows = [min(row_length(j), n) for j in (k - 1, k - 2) if j > 0]
-    terms = math.log(max(k, 1)) + sum(_log_comb(m + r, r) for r in rows)
-    if bits > MAX_ENTRY_BITS or terms > math.log(MAX_ENTRY_TERMS):
-        raise ValueError(
-            f"{what}: coordinates up to {m} at level {k} are over the budget of "
-            f"one kernel entry, {MAX_ENTRY_BITS:.0e} bits of q^e and "
-            f"{MAX_ENTRY_TERMS:.0e} pattern-count terms"
-        )
+    terms = max(k, 1) * math.prod(_comb(m + r, r) for r in rows)
+    what = f"{what}: coordinates up to {m} at level {k} of one kernel entry need"
+    check_budget(bits, MAX_ENTRY_BITS, what, "bits of q^e")
+    check_budget(terms, MAX_ENTRY_TERMS, what, "pattern-count terms")
 
 
 def states_in_box(k: int, radius: int) -> list[Row]:

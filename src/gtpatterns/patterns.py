@@ -9,6 +9,7 @@ Rows are plain tuples of ints throughout; all counting is exact.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from fractions import Fraction
@@ -190,3 +191,17 @@ def weyl_dimension(d: int, lam: Row) -> int:
     if dim.denominator != 1:
         raise AssertionError(f"non-integer Weyl dimension for d={d}, lam={lam}")
     return int(dim)
+
+
+_SHOWN = decimal.Context(prec=3, Emax=decimal.MAX_EMAX)
+
+
+def check_budget(work: int | Fraction, budget: int, what: str, unit: str) -> None:
+    """The one rule of every work budget: refuse an exact estimate (int or
+    Fraction) over its budget with the ValueError "{what} {work} {unit},
+    over the budget of {budget}".  The estimate is shown to 3 digits through
+    Decimal, at any size, never through a float."""
+    if work > budget:
+        # int() also takes a numpy integer, which Decimal refuses
+        shown = _SHOWN.divide(int(work.numerator), int(work.denominator)).normalize(_SHOWN)
+        raise ValueError(f"{what} {shown:.3g} {unit}, over the budget of {budget:.0e}")

@@ -23,6 +23,8 @@ from itertools import combinations
 
 import numpy as np
 
+from gtpatterns.patterns import check_budget
+
 
 def sample_increment(d: int, rng: np.random.Generator) -> np.ndarray:
     """One real antisymmetric increment A = v w^T - w v^T with v, w
@@ -61,11 +63,7 @@ def check_chain_budget(d: int, n_steps: int, n_paths: int, what: str) -> None:
     """Refuse a chain whose arrays are over MAX_CHAIN_FLOATS; `what` names
     the arguments that set n_steps and n_paths."""
     floats = n_paths * (n_steps * (d // 2) + (32 if d <= 4 else 4 * d * d))
-    if floats > MAX_CHAIN_FLOATS:
-        raise ValueError(
-            f"{what} holds {floats:.3g} floats in the eigenvalue chain, "
-            f"over the budget of {MAX_CHAIN_FLOATS:.0e}"
-        )
+    check_budget(floats, MAX_CHAIN_FLOATS, f"{what} holds", "floats in the eigenvalue chain")
 
 
 def simulate_eigen_chain(

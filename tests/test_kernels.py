@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtpatterns import kernels
@@ -226,6 +226,21 @@ class TestNu:
         actual_tail = sum(nu_pmf(q, d, m) for m in range(m_max + 1, 400))
         assert actual_tail <= nu_tail_bound(q, d, m_max)
 
+    @pytest.mark.parametrize("q", [Q(1, 10), Q(2, 9), THIRD, HALF])
+    @pytest.mark.parametrize("d", [3, 4, 5, 7])
+    @pytest.mark.parametrize("m_max", [0, 2, 5])
+    def test_tail_bound_dominates_exact_tail(self, q, d, m_max):
+        """The bound uses s(gamma_{m+1}) / s(gamma_m) <= (m+d-2)/m for m >= 1
+        ((2m+3)/(2m+1) at d = 3).  nu sums to exactly 1, so its tail past
+        m_max is exactly 1 - sum_{m <= m_max} nu(m): 50/99 at q = 2/9, d = 3,
+        m_max = 0."""
+        for m in range(1, 60):
+            ratio = Q(s_dim(d, gamma_row(d, m + 1)), s_dim(d, gamma_row(d, m)))
+            assert ratio <= Q(m + d - 2, m)
+            assert d != 3 or ratio == Q(2 * m + 3, 2 * m + 1)
+        tail = 1 - sum(nu_pmf(q, d, m) for m in range(m_max + 1))
+        assert 0 < tail <= nu_tail_bound(q, d, m_max)
+
 
 # ---------------------------------------------------------------------------
 # the one-step kernel on weights
@@ -347,6 +362,14 @@ class TestPdRandomRational:
         assert abs(closed - series) <= tail
 
 
+@st.composite
+def start_in_box(draw):
+    """(k, radius, x) with x in states_in_box(k, radius // 2)."""
+    k = draw(st.integers(2, 5))
+    radius = draw(st.integers(0, 8))
+    return k, radius, draw(st.sampled_from(states_in_box(k, radius // 2)))
+
+
 class TestTopRowKernel:
     def test_k1_is_reflected_walk(self):
         for q in (HALF, Q(2, 7), Q(9, 10)):
@@ -407,6 +430,19 @@ class TestTopRowKernel:
         x = (1,) * row_length(k)
         total = sum(r_k_pmf(q, k, x, y) for y in states_in_box(k, 35))
         assert 1 - Q(1, 10**6) <= total <= 1
+
+    @given(
+        q=st.integers(2, 40).flatmap(lambda b: st.integers(1, b - 1).map(lambda a: Q(a, b))),
+        start=start_in_box(),
+    )
+    @example(q=Q(2, 9), start=(5, 7, (0, 0, 0)))
+    @settings(max_examples=80, deadline=None)
+    def test_row_deficit_is_within_nu_tail(self, q, start):
+        """Tensoring with gamma_m raises beta_1 by at most m, so the mass an
+        R_k row puts outside the box is at most nu's tail past radius - x_1."""
+        k, radius, x = start
+        deficit = 1 - sum(r_k_pmf(q, k, x, y) for y in states_in_box(k, radius))
+        assert 0 <= deficit <= nu_tail_bound(q, k + 1, radius - x[0])
 
 
 # ---------------------------------------------------------------------------
