@@ -44,8 +44,11 @@ def _emit(args, payload: dict) -> None:
 
 
 def _cmd_count(args) -> int:
-    value = patterns.count_patterns(args.k, _parse_row(args.lam))
-    print(value)
+    if args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
+    lam = _parse_row(args.lam)
+    kernels.check_dimension_budget(args.k, lam, "--k, --lambda")
+    print(patterns.weyl_dimension(args.k + 1, lam))
     return 0
 
 

@@ -34,11 +34,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 import numpy as np
 
 from gtpatterns.patterns import (
-    Pattern, Row, check_budget, count_patterns, is_nonneg_row, row_length,
+    Pattern, Row, check_budget, is_nonneg_row, row_length, weyl_dimension,
 )
 
 
@@ -77,8 +78,9 @@ def check_ctmc_budget(k: int, t_max: float, n_paths: int) -> None:
 def check_discrete_budget(k: int, steps: float, n_paths: int, what: str) -> None:
     """Refuse a discrete run of `steps` steps whose work,
     particles (steps + STATE_STEPS) (n_paths + STEP_PATHS) particle-steps,
-    is over MAX_PARTICLE_STEPS; `what` names the argument that set `steps`."""
-    work = particle_count(k) * (Fraction(steps) + STATE_STEPS) * (n_paths + STEP_PATHS)
+    is over MAX_PARTICLE_STEPS; `what` names the argument that set `steps`.
+    n_paths is counted as a Python int, so a numpy count cannot wrap."""
+    work = particle_count(k) * (Fraction(steps) + STATE_STEPS) * (index(n_paths) + STEP_PATHS)
     what = f"{what} with {n_paths} paths is the work of"
     check_budget(work, MAX_PARTICLE_STEPS, what, "particle-steps")
 
@@ -336,7 +338,7 @@ def generator_rate(k: int, lam: Row, beta: Row) -> Fraction:
         raise ValueError("beta must be a unit-step neighbour of lam")
     if not is_nonneg_row(beta):
         return Fraction(0)
-    rate = Fraction(count_patterns(k, beta), count_patterns(k, lam))
+    rate = Fraction(weyl_dimension(k + 1, beta), weyl_dimension(k + 1, lam))
     if k % 2 == 1 and lam[-1] == 0 and beta[-1] == 1:
         rate *= 2
     return rate
@@ -366,7 +368,7 @@ def semigroup_law(k: int, radius: int, t: float) -> dict[Row, float]:
     beta = np.array(states)
     x = (beta + rho)[:, :, None]
     law = np.linalg.det(ive(x - rho, 2 * t) - (-1) ** k * ive(x + rho, 2 * t))
-    law *= [count_patterns(k, s) for s in states]
+    law *= [weyl_dimension(k + 1, s) for s in states]
     if k % 2 == 1:
         law[beta[:, -1] == 0] /= 2
     return {s: float(p) for s, p in zip(states, law) if p > 0}

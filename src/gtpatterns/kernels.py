@@ -17,16 +17,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 from gtpatterns.patterns import (
+    STATE_CACHE,
     Row,
     abs_row,
     check_budget,
-    count_patterns,
     interlaces,
     interlacing_ranges,
     is_nonneg_row,
     lower_rows,
     row_length,
     row_value_ok,
+    weyl_dimension,
 )
 
 Q = Fraction
@@ -128,11 +129,6 @@ def gamma_row(d: int, m: int) -> Row:
     return (m,) + (0,) * (r - 1)
 
 
-def s_dim(d: int, lam: Row) -> int:
-    """dim V_lam for SO(d), computed as the pattern count s_{d-1}(lam)."""
-    return count_patterns(d - 1, lam)
-
-
 def nu_pmf(q: Fraction, d: int, m: int) -> Fraction:
     """Jump-size mixing law: nu(m) = (1-q)^(d-1) q^m s_{d-1}(gamma_m)/(1+q)."""
     q = _check_q(q)
@@ -140,7 +136,7 @@ def nu_pmf(q: Fraction, d: int, m: int) -> Fraction:
         raise ValueError("d must be >= 3")
     if m < 0:
         raise ValueError("m must be >= 0")
-    return (1 - q) ** (d - 1) * q**m * s_dim(d, gamma_row(d, m)) / (1 + q)
+    return (1 - q) ** (d - 1) * q**m * weyl_dimension(d, gamma_row(d, m)) / (1 + q)
 
 
 def nu_tail_bound(q: Fraction, d: int, m_max: int) -> Fraction:
@@ -199,7 +195,8 @@ def mu_pmf(d: int, lam: Row, m: int, beta: Row) -> Fraction:
     mult = pieri_decompose(d, lam, m).get(beta, 0)
     if mult == 0:
         return Q(0)
-    return Fraction(s_dim(d, beta) * mult, s_dim(d, lam) * s_dim(d, gamma_row(d, m)))
+    dims = weyl_dimension(d, lam) * weyl_dimension(d, gamma_row(d, m))
+    return Fraction(weyl_dimension(d, beta) * mult, dims)
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +219,10 @@ def _p_d(q: Fraction, d: int, lam: Row, beta: Row) -> Fraction:
     The closed form has one shape for both parities, with n = (d-1)//2: it
     sums ratio (1-q)^(d-1) q^e_c over the rows c of length n interlacing |lam|
     and |beta|, divided by 1+q when d is even or c_n = 0, where
-    ratio = s_dim(beta) / s_dim(lam), e_c = base - 2 sum(c) >= 0 and base sums
+    ratio = dim(beta) / dim(lam), e_c = base - 2 sum(c) >= 0 and base sums
     lam_i + beta_i over i <= n, plus |lam_r - beta_r| for even d.  With
     q = a/b in lowest terms and E = max e_c, that is one Fraction over
-    s_dim(lam) b^(d-1+E) (a+b).  The rows c are a box of ranges, so the sum
+    dim(lam) b^(d-1+E) (a+b).  The rows c are a box of ranges, so the sum
     over c of a^e_c b^(E-e_c) is a^(base - 2 sum(hi)) times, per range of
     s values ending at hi, g(s) = (b^2s - a^2s) / (b^2 - a^2).  A term
     divided by 1+q carries b, any other a+b: for even d one more factor b;
@@ -246,8 +243,8 @@ def _p_d(q: Fraction, d: int, lam: Row, beta: Row) -> Fraction:
     top = base - 2 * sum(values.start for values in ranges)
     num = a ** (base - 2 * sum(values[-1] for values in ranges)) * math.prod(factors)
     return Fraction(
-        s_dim(d, beta) * (b - a) ** (d - 1) * num,
-        s_dim(d, lam) * b ** (d - 1 + top) * (a + b),
+        weyl_dimension(d, beta) * (b - a) ** (d - 1) * num,
+        weyl_dimension(d, lam) * b ** (d - 1 + top) * (a + b),
     )
 
 
@@ -292,9 +289,6 @@ PairState = tuple[Row | None, Row]  # (z, y); z is ignored by S_k
 
 # The pair kernels see the same few states on every call, so each distinct
 # state is checked once; a refused state raises and is not cached.
-STATE_CACHE = 1 << 14
-
-
 @lru_cache(maxsize=STATE_CACHE)
 def pair_state_ok(k: int, z: Row, y: Row) -> bool:
     """(z, y) lies in the pair state space of level k: z interlaces y,
@@ -330,8 +324,8 @@ def _s_k(a: int, b: int, k: int, y: Row, z2: Row, y2: Row) -> tuple[int, int]:
     """s_k_pmf at q = a/b, for z2 interlacing y and y2 (so expo >= 0)."""
     n = len(z2)
     expo = sum(c + d - 2 * e for c, d, e in zip(y, y2, z2))
-    num = (b - a) ** (2 * n) * count_patterns(k, y2) * a**expo
-    den = b ** (2 * n + expo) * count_patterns(k, y)
+    num = (b - a) ** (2 * n) * weyl_dimension(k + 1, y2) * a**expo
+    den = b ** (2 * n + expo) * weyl_dimension(k + 1, y)
     if k % 2 == 1:
         wall_num, wall_den = _r(a, b, y[-1], y2[-1])
         return num * wall_num, den * wall_den
@@ -353,10 +347,8 @@ def l_k_pmf(k: int, src: tuple[Row, Row], dst: tuple[Row, Row, Row]) -> Fraction
         return Q(0)
     if not interlaces(x, y):
         return Q(0)
-    weight = 1
-    if k % 2 == 0:
-        weight = 1 if x[-1] == 0 else 2
-    return Fraction(weight * count_patterns(k - 1, x), count_patterns(k, y))
+    weight = 2 if k % 2 == 0 and x[-1] else 1
+    return Fraction(weight * weyl_dimension(k, x), weyl_dimension(k + 1, y))
 
 
 def q_k_pmf(
@@ -576,29 +568,30 @@ def check_law_budget(k: int, n: int, radius: int, what: str = "n") -> None:
 
 
 # Budgets of one kernel entry from the command line, where a coordinate is
-# not bounded by any box.  With coordinates summing to s, largest m, n of
-# them nonzero, at level k: q^e has at most (s + k) bits(q) bits, and the
-# pattern counts of the entry's rows sum at most about
-# k box(k-1) box(k-2) terms, box(j) = C(m + r, r) with r = min(r_j, n)
-# being the rows of level j with entries <= m and at most n nonzero (a row
-# below one with n nonzero entries has at most n).  The CLI prints no
-# integer past 4300 digits (14,300 bits) anyway; at the term budget r_k_pmf
-# at k = 3 takes about 0.5 s.
+# not bounded by any box.  At level k, q^e has at most (sum of coordinates
+# + k) bits(q) bits; the CLI prints no integer past 4300 digits anyway.  The
+# Weyl product of a row with n nonzero entries multiplies at most n r pair
+# factors, r = row_length(k), into integers that grow with each: at the
+# budget (nu at d = 49,999 has 24,999) it takes up to about 2 s.
 MAX_ENTRY_BITS = 10**5
-MAX_ENTRY_TERMS = 10**7
+MAX_ENTRY_FACTORS = 25_000
+
+
+def check_dimension_budget(k: int, coords: Row, what: str) -> None:
+    """Refuse rows at level k whose Weyl products multiply too many factors."""
+    n = sum(c != 0 for c in coords)
+    what = f"{what}: {n} nonzero coordinates at level {k} need"
+    check_budget(n * row_length(k), MAX_ENTRY_FACTORS, what, "pair factors of the Weyl product")
 
 
 def check_entry_budget(q: Fraction, k: int, coords: Row, what: str) -> None:
-    """Refuse one kernel entry at level k whose coordinates make q^e or the
-    pattern counts too large; `what` names the arguments that set them."""
+    """Refuse one kernel entry at level k whose coordinates make q^e or its
+    dimensions too large; `what` names the arguments that set them."""
     m = max(map(abs, coords), default=0)
-    n = sum(c != 0 for c in coords)
     bits = (sum(map(abs, coords)) + k) * max(abs(q.numerator), q.denominator).bit_length()
-    rows = [min(row_length(j), n) for j in (k - 1, k - 2) if j > 0]
-    terms = max(k, 1) * math.prod(_comb(m + r, r) for r in rows)
-    what = f"{what}: coordinates up to {m} at level {k} of one kernel entry need"
-    check_budget(bits, MAX_ENTRY_BITS, what, "bits of q^e")
-    check_budget(terms, MAX_ENTRY_TERMS, what, "pattern-count terms")
+    need = f"{what}: coordinates up to {m} at level {k} of one kernel entry need"
+    check_budget(bits, MAX_ENTRY_BITS, need, "bits of q^e")
+    check_dimension_budget(k, coords, what)
 
 
 def states_in_box(k: int, radius: int) -> list[Row]:

@@ -161,36 +161,36 @@ def zero_pattern(k: int) -> Pattern:
     return tuple((0,) * row_length(i) for i in range(1, k + 1))
 
 
+# Bound of the caches that see the same few rows or states on every call.
+STATE_CACHE = 1 << 14
+
+
+@lru_cache(maxsize=STATE_CACHE)
 def weyl_dimension(d: int, lam: Row) -> int:
-    """Dimension of the SO(d) irreducible with highest weight lam, by the
-    Weyl product formula.  Independent of the pattern-counting recursion;
-    the two must agree since dim V_lam = s_{d-1}(lam).
-    """
-    if d < 3:
-        raise ValueError("d must be >= 3")
-    r = d // 2
+    """Dimension of the SO(d) irreducible with highest weight lam (1 at d = 2)
+    by the Weyl product formula in integers; its oracle is count_patterns."""
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    r, odd = d // 2, d % 2
     if len(lam) != r:
         raise ValueError(f"lam must have length {r} for d={d}")
-    if d % 2 == 1:
-        if not is_nonneg_row(lam):
-            raise ValueError(f"invalid SO({d}) highest weight: {lam}")
-        # doubled weights keep everything integral: l_i = 2 lam_i + 2(r-i)+1
-        l = [2 * lam[i] + 2 * (r - 1 - i) + 1 for i in range(r)]
-        m = [2 * (r - 1 - i) + 1 for i in range(r)]
-        # the short roots contribute prod l_i / m_i
-        dim = Fraction(math.prod(l), math.prod(m))
-    else:
-        if not is_signed_row(lam):
-            raise ValueError(f"invalid SO({d}) highest weight: {lam}")
-        l = [lam[i] + (r - 1 - i) for i in range(r)]
-        m = [r - 1 - i for i in range(r)]
-        dim = Fraction(1)
-    for i in range(r):
+    if not (is_nonneg_row(lam) if odd else is_signed_row(lam)):
+        raise ValueError(f"invalid SO({d}) highest weight: {lam}")
+    # m = rho and l = lam + rho, doubled for odd d so both are integers.  The
+    # p nonzero coordinates come first, a factor with none has l = m, and for
+    # odd d the short roots contribute l_i / m_i.
+    m = [(1 + odd) * (r - 1 - i) + odd for i in range(r)]
+    l = [(1 + odd) * v + w for v, w in zip(lam, m)]
+    p = sum(v != 0 for v in lam)
+    num, den = (math.prod(l[:p]), math.prod(m[:p])) if odd else (1, 1)
+    for i in range(p):
         for j in range(i + 1, r):
-            dim *= Fraction(l[i] ** 2 - l[j] ** 2, m[i] ** 2 - m[j] ** 2)
-    if dim.denominator != 1:
+            num *= l[i] ** 2 - l[j] ** 2
+            den *= m[i] ** 2 - m[j] ** 2
+    dim, rest = divmod(num, den)
+    if rest:
         raise AssertionError(f"non-integer Weyl dimension for d={d}, lam={lam}")
-    return int(dim)
+    return dim
 
 
 _SHOWN = decimal.Context(prec=3, Emax=decimal.MAX_EMAX)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from functools import cache, lru_cache
 from itertools import combinations
+from operator import index
 
 import numpy as np
 
@@ -61,8 +62,9 @@ MAX_CHAIN_FLOATS = 10**9
 
 def check_chain_budget(d: int, n_steps: int, n_paths: int, what: str) -> None:
     """Refuse a chain whose arrays are over MAX_CHAIN_FLOATS; `what` names
-    the arguments that set n_steps and n_paths."""
-    floats = n_paths * (n_steps * (d // 2) + (32 if d <= 4 else 4 * d * d))
+    the arguments that set n_steps and n_paths, counted as Python ints so
+    that a numpy count cannot wrap."""
+    floats = index(n_paths) * (index(n_steps) * (d // 2) + (32 if d <= 4 else 4 * d * d))
     check_budget(floats, MAX_CHAIN_FLOATS, f"{what} holds", "floats in the eigenvalue chain")
 
 

@@ -29,6 +29,11 @@ CALLS = {
     "ctmc_simulate-k": lambda: dynamics.ctmc_simulate(HUGE, 1.0, 1, 0),
     "simulate_eigen_chain-paths": lambda: spectra.simulate_eigen_chain(4, 2, HUGE, 0),
     "simulate_eigen_chain-d": lambda: spectra.simulate_eigen_chain(HUGE, 2, 1, 0),
+    # numpy path counts, whose own int64 arithmetic would wrap
+    "check_chain_budget-int64": lambda: spectra.check_chain_budget(4, 2, np.int64(2**62), "x"),
+    "check_discrete_budget-int64": lambda: dynamics.check_discrete_budget(
+        1, 0, np.int64(2**63 - 1000), "x"
+    ),
 }
 
 

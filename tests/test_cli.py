@@ -1,9 +1,11 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,16 @@ def test_count(capsys):
     assert capsys.readouterr().out.strip() == "4"
 
 
+def gamma_dim(d, m):
+    """dim of (m, 0, ..., 0) for SO(d), the binomial form in nu_tail_bound."""
+    return math.comb(m + d - 2, d - 2) + math.comb(m + d - 3, d - 2)
+
+
+def test_count_at_a_large_entry(capsys):
+    assert main(["count", "--k", "9", "--lambda", "3000,0,0,0,0"]) == 0
+    assert capsys.readouterr().out.strip() == str(gamma_dim(10, 3000))
+
+
 def test_pieri_json(capsys):
     assert main(["pieri", "--d", "3", "--lambda", "1", "--m", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -25,6 +37,13 @@ def test_pieri_json(capsys):
 def test_kernel_value(capsys):
     assert main(["kernel", "nu", "--q", "1/2", "--d", "3", "--y", "0"]) == 0
     assert capsys.readouterr().out.startswith("1/6")
+
+
+def test_kernel_nu_at_large_d(capsys):
+    d, m, q = 3000, 1, Fraction(1, 2)
+    assert main(["kernel", "nu", "--q", "1/2", "--d", str(d), "--y", str(m)]) == 0
+    value = Fraction(capsys.readouterr().out.split()[0])
+    assert value == (1 - q) ** (d - 1) * q**m * gamma_dim(d, m) / (1 + q)
 
 
 def test_decimal_q_is_read_exactly(capsys):
@@ -95,6 +114,7 @@ def assert_usage_error(code, out, err):
 
 
 HUGE = "1" + "0" * 400  # past the float range
+ONES = ",".join(["1"] * 500)
 
 
 @pytest.mark.parametrize(
@@ -141,6 +161,7 @@ HUGE = "1" + "0" * 400  # past the float range
         ["experiment", "small-q", "--k", "1", "--big-n", HUGE],
         ["experiment", "large-q", "--k", "1", "--big-n", HUGE],
         ["ctmc", "--k", "1", "--t-max", "1", "--paths", HUGE],
+        ["count", "--k", "0", "--lambda", "1"],
     ],
 )
 def test_domain_error_is_one_line_and_exit_code_2(argv, capsys):
@@ -184,7 +205,7 @@ def test_domain_error_is_one_line_and_exit_code_2(argv, capsys):
         # the identity checkers: k pairs^2 lower rows, and bound^4
         (["intertwine", "--k", "4", "--q", "1/2", "--bound", "20"], "bound"),
         (["desintegration", "--q", "1/2", "--bound", "100000"], "bound"),
-        # one kernel entry: the bits of q^e, and the pattern-count terms
+        # one kernel entry: the bits of q^e
         (["kernel", "r", "--q", "2/3", "--x", "100000000", "--y", "1"], "--x"),
         (["kernel", "rk", "--q", "2/3", "--k", "3", "--x", "100000000,0", "--y", "1,1"], "--x"),
         (["kernel", "nu", "--q", "1/2", "--d", "1000000001", "--y", "1"], "--d"),
@@ -194,6 +215,9 @@ def test_domain_error_is_one_line_and_exit_code_2(argv, capsys):
         # within both entry budgets, but past the digits Python prints
         (["kernel", "r", "--q", "2/3", "--x", "10000", "--y", "1"], "--x, --y"),
         (["kernel", "r", "--q", "2/3", "--x", "9010", "--y", "1"], "--x, --y"),
+        # the pair factors of the Weyl products, 500 nonzero entries at level 1000
+        (["kernel", "rk", "--q", "1/2", "--k", "1000", "--x", ONES, "--y", ONES], "--k, --x, --y"),
+        (["count", "--k", "1000", "--lambda", ONES], "--k, --lambda"),
     ],
 )
 def test_run_over_its_work_budget_is_refused(argv, name):

@@ -35,7 +35,6 @@ from gtpatterns.kernels import (
     r_k_pmf,
     r_pmf,
     reflected_right_pmf,
-    s_dim,
     s_k_pmf,
     states_in_box,
 )
@@ -48,6 +47,7 @@ from gtpatterns.patterns import (
     row_length,
     row_value_ok,
 )
+from gtpatterns.patterns import weyl_dimension as s_dim
 
 Q = Fraction
 HALF = Q(1, 2)
@@ -600,21 +600,20 @@ class TestPairKernels:
             check_desintegration(HALF, 48)
 
     def test_entry_budget(self):
-        """One entry is refused past 1e5 bits of q^e or 1e7 pattern-count
-        terms, and nothing below."""
+        """One entry is refused past 1e5 bits of q^e or 25,000 pair factors
+        of its Weyl products, and nothing below."""
         check_entry_budget(Q(2, 3), 1, (49999, 0), "--x, --y")
         with pytest.raises(ValueError, match="--x, --y: .*100000000 .*budget"):
             check_entry_budget(Q(2, 3), 1, (10**8, 1), "--x, --y")
         with pytest.raises(ValueError, match="budget"):
             check_entry_budget(Q(2, 3), 1, (50000, 0), "--x, --y")
-        # k = 3: 3 (m + 1)^2 terms, 9.7e6 at m = 1800 and 1.1e7 at m = 1900
-        check_entry_budget(HALF, 3, (1800, 0, 1, 1), "--k, --x, --y")
-        with pytest.raises(ValueError, match="up to 1900 at level 3 .*budget"):
-            check_entry_budget(HALF, 3, (1900, 0, 1, 1), "--k, --x, --y")
-        # nu's row (m, 0, ..., 0) has one nonzero entry: 8 (m + 1)^2 terms
-        check_entry_budget(HALF, 8, (1000,), "--d, --y")
-        with pytest.raises(ValueError, match="up to 1200 at level 8 .*budget"):
-            check_entry_budget(HALF, 8, (1200,), "--d, --y")
+        # n nonzero coordinates at level k: n (k+1)//2 factors, 25,000 at n = 50
+        check_entry_budget(HALF, 1000, (1,) * 50, "--k, --x, --y")
+        with pytest.raises(ValueError, match="--k, --x, --y: 51 nonzero .*budget"):
+            check_entry_budget(HALF, 1000, (1,) * 51, "--k, --x, --y")
+        # nu's row (m, 0, ..., 0) has one nonzero entry, so its bits decide
+        check_entry_budget(HALF, 8, (10**4,), "--d, --y")
+        check_entry_budget(HALF, 49998, (1,), "--d, --y")
         with pytest.raises(ValueError, match="--d, --y: .*budget"):
             check_entry_budget(HALF, 10**9, (1,), "--d, --y")
 
