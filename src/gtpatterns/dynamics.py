@@ -18,10 +18,11 @@ equal column below, a left ring is blocked by an equal particle above and
 pushes the equal diagonal below, and a wall particle's left ring at 0
 reflects into a right ring.
 
-The single-step updates are pure functions of (state, noise).  The
-discrete Monte Carlo simulator is vectorized over paths; a property test
-pins the vectorized step to the scalar one.  Both simulators refuse a run
-whose expected work is over a fixed budget.
+The discrete Monte Carlo simulator is vectorized over paths.  Its step
+also takes given noise, a pair (xi_half, xi_full) of particle-keyed draws,
+so a property test pins it to the scalar step, an oracle kept in
+tests/oracles.py.  Both simulators refuse a run whose expected work is
+over a fixed budget.
 
 The top row of the continuous-time model is Markov, with the
 ratio-of-dimensions rates of `generator_rate`.  Its law at a fixed time,
@@ -83,77 +84,6 @@ def check_discrete_budget(k: int, steps: float, n_paths: int, what: str) -> None
     work = particle_count(k) * (Fraction(steps) + STATE_STEPS) * (index(n_paths) + STEP_PATHS)
     what = f"{what} with {n_paths} paths is the work of"
     check_budget(work, MAX_PARTICLE_STEPS, what, "particle-steps")
-
-
-@dataclass(frozen=True)
-class NoiseDraw:
-    """One full step worth of geometric draws, indexed by particle (l, j)."""
-
-    xi_half: dict[tuple[int, int], int]
-    xi_full: dict[tuple[int, int], int]
-
-    @staticmethod
-    def zero(k: int) -> "NoiseDraw":
-        keys = particles(k)
-        return NoiseDraw({key: 0 for key in keys}, {key: 0 for key in keys})
-
-
-def half_step_left(x: Pattern, noise: NoiseDraw) -> Pattern:
-    """Leftward half-step: rows updated downward; free particles jump left
-    blocked by the old configuration; pushed particles take the min with the
-    upper-left neighbour's new position; wall particles only move if pushed."""
-    k = len(x)
-    new: list[Row] = []
-    for l in range(1, k + 1):
-        m = row_length(l)
-        old = x[l - 1]
-        upper_new = new[l - 2] if l >= 2 else None
-        tilde = [
-            min(old[i], upper_new[i - 1]) if (i >= 1 and upper_new is not None) else old[i]
-            for i in range(m)
-        ]
-        row = list(tilde)
-        blockers = x[l - 2] if l >= 2 else None
-        for i in range(l // 2):
-            row[i] = max(blockers[i], tilde[i] - noise.xi_half[(l, i + 1)])
-        # odd rows: the wall particle keeps its pushed position
-        new.append(tuple(row))
-    return tuple(new)
-
-
-def full_step_right(x_half: Pattern, noise: NoiseDraw) -> Pattern:
-    """Rightward full-step from the half-step configuration.  Wall particles
-    move by |x + xi - xi'| using the pre-drawn pair, blocked above-left."""
-    k = len(x_half)
-    new: list[Row] = []
-    for l in range(1, k + 1):
-        m = row_length(l)
-        half = x_half[l - 1]
-        upper_new = new[l - 2] if l >= 2 else None
-        tilde = []
-        for i in range(m):
-            pushed_from = (
-                upper_new[i] if upper_new is not None and i < len(upper_new) else 0
-            )
-            tilde.append(max(pushed_from, half[i]))
-        row = list(tilde)
-        upper_half = x_half[l - 2] if l >= 2 else None
-        for i in range(l // 2):
-            cap = upper_half[i - 1] if i >= 1 else math.inf
-            row[i] = int(min(cap, tilde[i] + noise.xi_full[(l, i + 1)]))
-        if l % 2 == 1:
-            j = m - 1
-            moved = abs(half[j] + noise.xi_full[(l, m)] - noise.xi_half[(l, m)])
-            cap = upper_half[m - 2] if upper_half is not None else math.inf
-            row[j] = int(min(moved, cap))
-        new.append(tuple(row))
-    return tuple(new)
-
-
-def discrete_step(x: Pattern, noise: NoiseDraw) -> tuple[Pattern, Pattern]:
-    """One full discrete step: (state at n+1/2, state at n+1)."""
-    x_half = half_step_left(x, noise)
-    return x_half, full_step_right(x_half, noise)
 
 
 # ---------------------------------------------------------------------------

@@ -132,17 +132,6 @@ def experiment_ctmc_marginal(
     )
 
 
-def estimate_wall_rate(t_max: float, n_paths: int, seed: int) -> float:
-    """Empirical jump rate 0 -> 1 of the single-particle model, which the
-    wall reflection doubles to 2."""
-    res = ctmc_simulate(1, t_max, n_paths, seed)
-    time_at_zero = res.top_row_time.get((0,), 0.0)
-    jumps = res.top_row_jumps.get(((0,), (1,)), 0)
-    if time_at_zero == 0.0:
-        raise RuntimeError("no occupation time at zero; increase n_paths")
-    return jumps / time_at_zero
-
-
 def experiment_small_q(
     k: int,
     big_n: int,

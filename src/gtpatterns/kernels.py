@@ -46,14 +46,6 @@ def _check_q(q: Fraction) -> Fraction:
 # elementary one-coordinate laws
 # ---------------------------------------------------------------------------
 
-def geometric_pmf(q: Fraction, x: int) -> Fraction:
-    """P(xi = x) = q^x (1-q) for x >= 0."""
-    q = _check_q(q)
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    return q**x * (1 - q)
-
-
 def r_pmf(q: Fraction, x: int, y: int) -> Fraction:
     """Symmetrized two-sided geometric law: the law of |x + xi - xi'|."""
     q = _check_q(q)
@@ -536,9 +528,6 @@ class SparseLaw:
 
     support: dict
     tail_deficit: Fraction
-
-    def total_mass(self) -> Fraction:
-        return sum(self.support.values(), Q(0))
 
 
 # Budgets of the exact laws, checked before any enumeration and each at

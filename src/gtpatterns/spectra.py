@@ -3,8 +3,9 @@ its top eigenvalues, and the continuous transition density they follow.
 
 The chain for d <= 4 is sampled in closed form through
 so(4) = so(3) + so(3), with no d x d matrix; for d >= 5 it accumulates the
-matrices and takes a batched SVD per step. top_spectrum is the SVD oracle
-for both.
+matrices and takes a batched SVD per step.  The single-matrix SVD
+spectrum, the oracle of both, and the Monte Carlo integral behind m_d are
+kept in tests/oracles.py.
 
 Everything here is floating point; tolerances are stated per test. The
 scalar functions h_d, m_d and p_d_density take any sequence of coordinates
@@ -25,30 +26,6 @@ from operator import index
 import numpy as np
 
 from gtpatterns.patterns import check_budget
-
-
-def sample_increment(d: int, rng: np.random.Generator) -> np.ndarray:
-    """One real antisymmetric increment A = v w^T - w v^T with v, w
-    independent standard Gaussian vectors; the Hermitian accumulator is iA."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    v = rng.standard_normal(d)
-    w = rng.standard_normal(d)
-    return np.outer(v, w) - np.outer(w, v)
-
-
-def top_spectrum(a: np.ndarray) -> np.ndarray:
-    """The d//2 largest eigenvalues of iA, i.e. the leading singular values
-    of the antisymmetric matrix A, sorted decreasingly."""
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    if not np.allclose(a, -a.T):
-        raise ValueError("matrix must be antisymmetric")
-    d = a.shape[0]
-    s = np.linalg.svd(a, compute_uv=False)
-    # eigenvalues of iA come in +-pairs, so each distinct magnitude shows
-    # up twice among the singular values of A; take every other one
-    return s[::2][: d // 2]
 
 
 # Budget of the eigenvalue chain's arrays, in floats, checked in O(1) before
@@ -162,12 +139,6 @@ def h_d(d: int, lam) -> float:
     return _h(d, _floats(lam, d // 2, "lam"))
 
 
-def h_d_degree(d: int) -> int:
-    """Homogeneity degree of h_d."""
-    r = d // 2
-    return r * (r - 1) + (d % 2) * r
-
-
 def _m(d: int, x: tuple[float, ...], y: tuple[float, ...]) -> float:
     """m_d on coordinates already converted by _floats."""
     r = len(x)
@@ -221,42 +192,3 @@ def p_d_density(d: int, x, y) -> float:
     y = _floats(y, d // 2, "lam")
     return _h(d, y) * _m(d, x, y) / hx
 
-
-def m_d_monte_carlo(
-    d: int, x, y, n_samples: int, seed: int
-) -> float:
-    """Monte Carlo estimate of the defining integral of m_d, as an
-    independent oracle for the closed form."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rng = np.random.default_rng(seed)
-    r = d // 2
-    if d % 2 == 1:
-        dims = r
-        lows = np.array([max(x[i + 1] if i < r - 1 else 0.0,
-                             y[i + 1] if i < r - 1 else 0.0) for i in range(r)])
-        highs = np.array([min(x[i], y[i]) for i in range(r)])
-    else:
-        dims = r - 1
-        lows = np.array([max(x[i + 1], y[i + 1]) for i in range(r - 1)])
-        highs = np.array([min(x[i], y[i]) for i in range(r - 1)])
-    # sample z uniformly on the bounding box of the interlacing region;
-    # the box IS the region because the constraints factorize per coordinate
-    if np.any(highs < lows):
-        return 0.0
-    if dims == 0:
-        vol, mean = 1.0, 1.0
-        z = None
-    else:
-        z = lows + (highs - lows) * rng.random((n_samples, dims))
-        vol = float(np.prod(highs - lows))
-        expo = np.sum(
-            (x[:dims] + y[:dims])[None, :] - 2 * z, axis=1
-        )
-        mean = float(np.mean(np.exp(-expo)))
-    value = vol * mean
-    if d % 2 == 0:
-        value *= (
-            math.exp(-abs(x[r - 1] - y[r - 1])) + math.exp(-(x[r - 1] + y[r - 1]))
-        ) / 2
-    return value

@@ -13,7 +13,6 @@ import pytest
 from scipy.integrate import quad
 
 from gtpatterns.experiments import (
-    estimate_wall_rate,
     experiment_ctmc_marginal,
     experiment_large_q,
     experiment_markov_marginal,
@@ -32,13 +31,8 @@ from gtpatterns.kernels import (
 )
 from gtpatterns.patterns import count_patterns, row_length, weyl_dimension
 from gtpatterns.patterns import weyl_dimension as s_dim
-from gtpatterns.spectra import (
-    m_d,
-    m_d_monte_carlo,
-    p_d_density,
-    sample_increment,
-    top_spectrum,
-)
+from gtpatterns.spectra import m_d, p_d_density
+from oracles import estimate_wall_rate, m_d_monte_carlo, sample_increment, top_spectrum
 
 Q = Fraction
 

@@ -13,14 +13,11 @@ from hypothesis import strategies as st
 
 from gtpatterns.dynamics import (
     DiscreteSimulation,
-    NoiseDraw,
     ctmc_apply_event,
     ctmc_simulate,
     ctmc_state_as_pattern,
-    discrete_step,
     generator_rate,
     geometric_draws,
-    half_step_left,
     particle_count,
     particles,
     semigroup_law,
@@ -28,6 +25,7 @@ from gtpatterns.dynamics import (
 from gtpatterns.experiments import experiment_ctmc_marginal
 from gtpatterns.kernels import states_in_box
 from gtpatterns.patterns import enumerate_patterns, pattern_is_valid, row_length, zero_pattern
+from oracles import discrete_step, half_step_left
 
 Q = Fraction
 
@@ -37,8 +35,8 @@ def test_particle_count_matches_particles():
 
 
 def noise_from_dicts(k, half, full):
-    keys = [(l, j) for l in range(1, k + 1) for j in range(1, row_length(l) + 1)]
-    return NoiseDraw(
+    keys = particles(k)
+    return (
         {key: half.get(key, 0) for key in keys},
         {key: full.get(key, 0) for key in keys},
     )
@@ -72,15 +70,11 @@ def expm_law(k, radius, t):
     return {s: float(p) for s, p in zip(states, row) if p > 0}
 
 
-def abs_pattern_valid(pat):
-    return pattern_is_valid(pat)
-
-
 class TestDiscreteStep:
     def test_zero_noise_is_identity(self):
         for k in (1, 2, 3, 4, 5):
             x = zero_pattern(k)
-            half, new = discrete_step(x, NoiseDraw.zero(k))
+            half, new = discrete_step(x, noise_from_dicts(k, {}, {}))
             assert half == x
             assert new == x
 
@@ -150,7 +144,7 @@ class TestDiscreteStep:
             (l, j) for l in range(1, k + 1) for j in range(1, row_length(l) + 1)
         ]
         for _ in range(horizon):
-            noise = NoiseDraw(
+            noise = (
                 {key: int(geometric_draws(rng, 0.6, ())) for key in keys},
                 {key: int(geometric_draws(rng, 0.6, ())) for key in keys},
             )
@@ -172,7 +166,7 @@ class TestVectorizedSimulation:
             xi_full = {key: geometric_draws(rng, 0.5, n_paths) for key in keys}
             sim.step((xi_half, xi_full))
             for p in range(n_paths):
-                noise = NoiseDraw(
+                noise = (
                     {key: int(xi_half[key][p]) for key in keys},
                     {key: int(xi_full[key][p]) for key in keys},
                 )

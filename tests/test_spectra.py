@@ -16,14 +16,11 @@ from gtpatterns import spectra
 from gtpatterns.spectra import (
     check_chain_budget,
     h_d,
-    h_d_degree,
     m_d,
-    m_d_monte_carlo,
     p_d_density,
-    sample_increment,
     simulate_eigen_chain,
-    top_spectrum,
 )
+from oracles import h_d_degree, m_d_monte_carlo, sample_increment, top_spectrum
 
 
 class TestSpectrum:
