@@ -35,6 +35,18 @@ def _parse_q(text: str) -> Fraction:
         raise ValueError(f"q has a zero denominator: {text}") from None
 
 
+def _text(value, flags: str) -> str:
+    """str(value), refused with the flags that set it when Python prints no
+    integer that long (past sys.get_int_max_str_digits())."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(
+            f"{flags}: the result has an integer over the budget "
+            f"of {sys.get_int_max_str_digits()} printed digits"
+        ) from None
+
+
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2, default=str)
     if getattr(args, "output", None):
@@ -48,7 +60,7 @@ def _cmd_count(args) -> int:
         raise ValueError(f"--k must be >= 1, got {args.k}")
     lam = _parse_row(args.lam)
     kernels.check_dimension_budget(args.k, lam, "--k, --lambda")
-    print(patterns.weyl_dimension(args.k + 1, lam))
+    print(_text(patterns.weyl_dimension(args.k + 1, lam), "--k, --lambda"))
     return 0
 
 
@@ -79,14 +91,7 @@ def _cmd_kernel(args) -> int:
         m = _single(y, "--y")
         kernels.check_entry_budget(q, args.d - 1, (m,), flags)
         value = kernels.nu_pmf(q, args.d, m)
-    try:
-        text = str(value)
-    except ValueError:  # Python prints no integer past sys.get_int_max_str_digits()
-        raise ValueError(
-            f"{flags}: the entry has a numerator or denominator over the budget "
-            f"of {sys.get_int_max_str_digits()} printed digits"
-        ) from None
-    print(f"{text} ({float(value):.12g})")
+    print(f"{_text(value, flags)} ({float(value):.12g})")
     return 0
 
 

@@ -218,6 +218,9 @@ def test_domain_error_is_one_line_and_exit_code_2(argv, capsys):
         # the pair factors of the Weyl products, 500 nonzero entries at level 1000
         (["kernel", "rk", "--q", "1/2", "--k", "1000", "--x", ONES, "--y", ONES], "--k, --x, --y"),
         (["count", "--k", "1000", "--lambda", ONES], "--k, --lambda"),
+        # one nonzero entry at level 9999: within the pair-factor budget, but
+        # the dimension is past the digits Python prints
+        (["count", "--k", "9999", "--lambda", "100000" + ",0" * 4999], "--k, --lambda"),
     ],
 )
 def test_run_over_its_work_budget_is_refused(argv, name):

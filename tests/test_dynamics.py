@@ -108,6 +108,19 @@ class TestDiscreteStep:
         half = half_step_left(x, noise)
         assert half[1] == (1,)
 
+    def test_left_jump_blocked_by_old_upper_position(self):
+        # (2, 1) jumps from 2 to 0, and (3, 1) by 2 from 2: it is blocked by
+        # the old position 2 of (2, 1), not by its new position 0.  With no
+        # right draws the full step keeps the half-step state
+        x = ((0,), (2,), (2, 0))
+        expected = ((0,), (0,), (2, 0))
+        noise = noise_from_dicts(3, {(2, 1): 2, (3, 1): 2}, {})
+        assert discrete_step(x, noise) == (expected, expected)
+        sim = DiscreteSimulation(0.5, 3, 1, seed=0)
+        sim.state = {(l, j): np.array([x[l - 1][j - 1]]) for l, j in sim.state}
+        sim.step(tuple({key: np.array([v]) for key, v in xi.items()} for xi in noise))
+        assert sim.patterns() == [expected]
+
     def test_push_right_on_full_step(self):
         # row-2 moving right pushes the row-3 particle sitting at its level
         x = ((0,), (1,), (1, 0))

@@ -143,6 +143,33 @@ class TestElementaryLaws:
                 geometric_pmf(bad, 0)
 
 
+# one valid call of each package function that takes q, at a given q
+Q_CALLS = {
+    "r_pmf": lambda q: r_pmf(q, 1, 1),
+    "blocked_left_pmf": lambda q: blocked_left_pmf(q, 0, 1, 1),
+    "blocked_right_pmf": lambda q: blocked_right_pmf(q, 2, 1, 1),
+    "reflected_right_pmf": lambda q: reflected_right_pmf(q, 2, 1, 1),
+    "nu_pmf": lambda q: nu_pmf(q, 3, 1),
+    "nu_tail_bound": lambda q: nu_tail_bound(q, 3, 2),
+    "p_d_closed": lambda q: p_d_closed(q, 3, (1,), (1,)),
+    "p_d_series": lambda q: p_d_series(q, 3, (1,), (1,), 2),
+    "r_k_pmf": lambda q: r_k_pmf(q, 2, (1,), (1,)),
+    "s_k_pmf": lambda q: s_k_pmf(q, 2, ((0,), (1,)), ((0,), (1,))),
+    "q_k_pmf": lambda q: q_k_pmf(q, 2, ((0,), (0,), (1,)), ((0,), (0,), (1,))),
+    "n_step_law": lambda q: n_step_law(q, 2, 1, 2),
+    "check_intertwining": lambda q: check_intertwining(q, 2, 1),
+    "check_desintegration": lambda q: check_desintegration(q, 2),
+}
+
+
+@pytest.mark.parametrize("bad", [Q(0), Q(1), Q(3, 2), Q(-1, 2)], ids=str)
+@pytest.mark.parametrize("name", list(Q_CALLS))
+def test_bad_q_is_refused(name, bad):
+    Q_CALLS[name](HALF)  # the other arguments are valid
+    with pytest.raises(ValueError, match=r"q must be in \(0,1\)"):
+        Q_CALLS[name](bad)
+
+
 # ---------------------------------------------------------------------------
 # tensor-product decomposition and dimensions
 # ---------------------------------------------------------------------------
