@@ -21,8 +21,11 @@ reflects into a right ring.
 The discrete Monte Carlo simulator is vectorized over paths.  Its step
 also takes given noise, a pair (xi_half, xi_full) of particle-keyed draws,
 so a property test pins it to the scalar step, an oracle kept in
-tests/oracles.py.  Both simulators refuse a run whose expected work is
-over a fixed budget.
+tests/oracles.py.  The continuous-time simulator draws its clock rings by
+uniformization, in batches of a chunk of paths by a window of time: Poisson
+ring counts, sorted uniform ring times and uniform clocks; it then applies
+each ring in time order, one event rule call per ring.  Both simulators
+refuse a run whose expected work is over a fixed budget.
 
 The top row of the continuous-time model is Markov, with the
 ratio-of-dimensions rates of `generator_rate`.  Its law at a fixed time,
@@ -173,31 +176,34 @@ class DiscreteSimulation:
 # continuous-time model
 # ---------------------------------------------------------------------------
 
-def ctmc_apply_event(y: dict, i: int, j: int, right: bool) -> None:
+def ctmc_apply_event(y: dict, i: int, j: int, right: bool) -> int:
     """Apply one clock ring of particle (i, j) to the state y, rightward if
     right, else leftward.  An equal blocker, (i-1, j-1) for a right ring and
     (i-1, j) for a left one, stops it; otherwise the mover and the chain of
     equal particles below it, along (i+1, j) or (i+1, j+1), move one unit.
     A wall particle's left ring at 0 reflects into a right ring.  The
-    neighbours are read from the keys of y."""
+    neighbours are read from the keys of y.  Returns the first row of the
+    chain that did not move: i if the ring was blocked, k + 1 if it moved a
+    particle of the top row k."""
     value = y[(i, j)]
     if not right and value == 0 and (i - 1, j) not in y:
         right = True
     blocker = (i - 1, j - 1) if right else (i - 1, j)
     if y.get(blocker) == value:
-        return
+        return i
     step, dj = (1, 0) if right else (-1, 1)
     while y.get((i, j)) == value:
         y[(i, j)] += step
         i += 1
         j += dj
+    return i
 
 
 def ctmc_state_as_pattern(y: dict, k: int) -> Pattern:
-    return tuple(
-        tuple(y[(i, j)] for j in range(1, row_length(i) + 1))
+    return tuple([
+        tuple([y[(i, j)] for j in range(1, row_length(i) + 1)])
         for i in range(1, k + 1)
-    )
+    ])
 
 
 @dataclass
@@ -209,10 +215,21 @@ class CtmcResult:
     top_row_jumps: dict[tuple[Row, Row], int]
 
 
+# Rings are drawn for a chunk of at most CTMC_CHUNK paths and one window of
+# time at once, the window so short that a path rings CTMC_WINDOW_RINGS times
+# in it on average; a batch's memory then depends on neither t_max nor n_paths.
+CTMC_CHUNK = 1024
+CTMC_WINDOW_RINGS = 32
+
+
 def ctmc_simulate(k: int, t_max: float, n_paths: int, seed: int) -> CtmcResult:
-    """Event-driven simulation: each particle carries two rate-1 clocks, so
-    the next event is exponential with the total rate and the mover is
-    uniform among (particle, direction) pairs."""
+    """Simulation by uniformization: each particle carries two rate-1
+    clocks, so a path's rings are a Poisson process with the total rate and
+    each ring's clock is uniform among the (particle, direction) pairs.  For
+    a chunk of paths and a window of time, each path's ring count is drawn
+    Poisson, its ring times as sorted uniforms over the window and its
+    clocks uniformly; the rings are then applied in time order, one
+    `ctmc_apply_event` call each."""
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     if k < 1 or n_paths < 1:
@@ -224,28 +241,35 @@ def ctmc_simulate(k: int, t_max: float, n_paths: int, seed: int) -> CtmcResult:
     # event 2n is particle n's right clock, event 2n+1 its left clock
     events = [(i, j, right) for i, j in keys for right in (True, False)]
     total_rate = len(events)
+    n_windows = math.ceil(total_rate * t_max / CTMC_WINDOW_RINGS)
+    tau = t_max / n_windows
     finals: list[Pattern] = []
     top_time: dict[Row, float] = {}
     top_jumps: dict[tuple[Row, Row], int] = {}
-    for _ in range(n_paths):
-        y = {key: 0 for key in keys}
-        top = (0,) * len(top_keys)
-        t = 0.0
-        while True:
-            dt = rng.exponential(1.0 / total_rate)
-            if t + dt > t_max:
-                top_time[top] = top_time.get(top, 0.0) + (t_max - t)
-                break
-            i, j, right = events[rng.integers(0, total_rate)]
-            ctmc_apply_event(y, i, j, right)
-            after = tuple(y[key] for key in top_keys)
-            top_time[top] = top_time.get(top, 0.0) + dt
-            if after != top:
-                jump = (top, after)
-                top_jumps[jump] = top_jumps.get(jump, 0) + 1
-                top = after
-            t += dt
-        finals.append(ctmc_state_as_pattern(y, k))
+    for first in range(0, n_paths, CTMC_CHUNK):
+        ys = [dict.fromkeys(keys, 0) for _ in range(min(CTMC_CHUNK, n_paths - first))]
+        # each path's top row and the time it took that value
+        tops = [((0,) * len(top_keys), 0.0)] * len(ys)
+        for w in range(n_windows):
+            counts = rng.poisson(total_rate * tau, len(ys))
+            path = np.repeat(np.arange(len(ys)), counts)
+            u = rng.uniform(w * tau, (w + 1) * tau, path.size)
+            times = u[np.lexsort((u, path))].tolist()
+            clocks = rng.integers(0, total_rate, path.size).tolist()
+            end = 0
+            for p, n in enumerate(counts.tolist()):
+                y, (top, since) = ys[p], tops[p]
+                for c, t in zip(clocks[end:end + n], times[end:end + n]):
+                    if ctmc_apply_event(y, *events[c]) > k:  # the top row moved
+                        after = tuple([y[key] for key in top_keys])
+                        top_time[top] = top_time.get(top, 0.0) + (t - since)
+                        top_jumps[top, after] = top_jumps.get((top, after), 0) + 1
+                        top, since = after, t
+                tops[p] = top, since
+                end += n
+        for top, since in tops:
+            top_time[top] = top_time.get(top, 0.0) + (t_max - since)
+        finals += [ctmc_state_as_pattern(y, k) for y in ys]
     return CtmcResult(finals, top_time, top_jumps)
 
 

@@ -154,7 +154,10 @@ def _m(d: int, x: tuple[float, ...], y: tuple[float, ...]) -> float:
         hi = min(x[i], y[i])
         if hi < lo:
             return 0.0
-        value *= math.exp(-(x[i] + y[i])) * (math.exp(2 * hi) - math.exp(2 * lo)) / 2
+        # e^{-x_i-y_i} (e^{2 hi} - e^{2 lo}) / 2 with both exponents <= 0, so
+        # that no coordinate is large enough to overflow it
+        xy = x[i] + y[i]
+        value *= (math.exp(2 * hi - xy) - math.exp(2 * lo - xy)) / 2
     return value
 
 

@@ -139,6 +139,11 @@ class TestMd:
     def test_zero_without_overlap(self):
         assert m_d(5, (3.0, 2.5), (2.0, 0.5)) == 0.0
 
+    def test_large_coordinates_do_not_overflow(self):
+        # (e^{-1} - e^{-801}) / 2, although e^{2 min(x, y)} = e^800 is past
+        # the float range
+        assert m_d(3, (400.0,), (401.0,)) == 0.18393972058572117
+
 
 class TestDensity:
     def test_d3_integrates_to_one(self):
@@ -229,7 +234,7 @@ class TestDensity:
         assert len(lines) == 640
         assert sum(not line.endswith(":0x0.0p+0") for line in lines) == 167
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-            "b4fd8b3b614a7cc0d93275659fccb15383da90a574c6ab698bcbbe61e8011118"
+            "417e1e98690f58da068f6d36213530048842e708536f9f3c1f2fe81b4363a698"
         )
 
     @pytest.mark.parametrize("x", [(math.nan, 0.5), (1.0, 1.0), (0.6, 1.4)])
@@ -345,12 +350,15 @@ def _density_case(draw):
     return d, draw(_cone_point(d // 2)), draw(_cone_point(d // 2))
 
 
-@given(case=_density_case())
+@given(case=_density_case(), shift=st.sampled_from((0, 1000)))
 @settings(max_examples=200, deadline=None)
-def test_density_matches_fifty_digit_closed_form(case):
+def test_density_matches_fifty_digit_closed_form(case, shift):
     """p_d_density against h_d(y) m_d(x, y) / h_d(x) written out again in
-    mpmath at 50 digits; list, tuple and ndarray inputs give one float."""
+    mpmath at 50 digits; list, tuple and ndarray inputs give one float.
+    Shifted by 1000 (still on the 1/16 grid), every e^{2 min(x_i, y_i)} is
+    past the float range."""
     d, x, y = case
+    x, y = (tuple(c + shift for c in v) for v in (x, y))
     value = p_d_density(d, x, y)
     with mpmath.workdps(50):
         xm = [mpmath.mpf(c) for c in x]

@@ -40,9 +40,10 @@ def test_traced_runs_are_counted_and_names_restored():
             k=3, big_n=20, n_steps=2, n_samples=50, seed=1, threshold=1.0
         )
     assert tracer.counts["dynamics.discrete.particle_steps"] > 0
-    # the tiny small-q run's 50 CTMC paths at t = 0.5 ring 105 clocks; each
-    # ring is one ctmc_apply_event call, so a second call per ring shows here
-    assert tracer.counts["dynamics.ctmc.events.calls"] == 105
+    # the tiny small-q run's 50 CTMC paths at t = 0.5 ring 92 clocks, the sum
+    # of its 50 Poisson ring counts; each ring is one ctmc_apply_event call,
+    # so a second call per ring shows here
+    assert tracer.counts["dynamics.ctmc.events.calls"] == 92
     assert tracer.counts["dynamics.ctmc_simulate.paths"] == 50
     assert tracer.counts["spectra.simulate_eigen_chain.path_steps"] == 100
     after = namespaces()
