@@ -190,6 +190,7 @@ def experiment_large_q(
     sim = DiscreteSimulation(1.0 - 1.0 / big_n, k, n_samples, seed)
     sim.run(n_steps)
     xs = sim.row(k) / big_n  # every simulated coordinate is >= 0
+    del sim  # its state is not needed while the chain runs
     lam = simulate_eigen_chain(d, n_steps, n_samples, seed + 1)[n_steps - 1]
     per_coord = [
         ks_two_sample(xs[:, c], lam[:, c]) for c in range(row_length(k))

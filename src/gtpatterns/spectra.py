@@ -3,7 +3,10 @@ its top eigenvalues, and the continuous transition density they follow.
 
 The chain for d <= 4 is sampled in closed form through
 so(4) = so(3) + so(3), with no d x d matrix; for d >= 5 it accumulates the
-matrices and takes a batched SVD per step.  The single-matrix SVD
+matrices and takes a batched SVD per step.  Each step draws its increments
+for all paths at once, then updates and measures CHAIN_BLOCK paths at a
+time, so its memory is the draws, the accumulator and the output, plus the
+temporaries of one block.  The single-matrix SVD
 spectrum, the oracle of both, and the Monte Carlo integral behind m_d are
 kept in tests/oracles.py.
 
@@ -31,10 +34,16 @@ from gtpatterns.patterns import check_budget
 # Budget of the eigenvalue chain's arrays, in floats, checked in O(1) before
 # any allocation and at least 100 times the largest chain in the test suite
 # and the benchmark (2e5 paths at d = 4 for 2 steps, 7.2e6 floats).  A chain
-# holds its (n_steps, n_paths, d//2) output and, per path, about 32 floats of
-# closed-form state at d <= 4, or at d >= 5 the d x d accumulator, two einsum
-# temporaries and the SVD's workspace.
+# holds its (n_steps, n_paths, d//2) output, the step's two (n_paths, d)
+# draws and its accumulator (6 floats per path at d <= 4, d x d at d >= 5);
+# every other temporary holds one block of CHAIN_BLOCK paths.  The estimate
+# counts 32 floats per path at d <= 4 and 4 d^2 at d >= 5: an upper bound.
 MAX_CHAIN_FLOATS = 10**9
+
+# Paths per block of the chain.  Each step draws v and w for every path, then
+# updates the accumulator and writes the spectrum one block at a time, so no
+# temporary holds more than CHAIN_BLOCK paths.
+CHAIN_BLOCK = 4096
 
 
 def check_chain_budget(d: int, n_steps: int, n_paths: int, what: str) -> None:
@@ -52,7 +61,9 @@ def simulate_eigen_chain(
 
     Returns an array of shape (n_steps, n_paths, d//2): the spectrum after
     each accumulated increment.  Each step draws v, then w, with shape
-    (n_paths, d), whatever d is.
+    (n_paths, d), whatever d is; it then updates the accumulator and writes
+    the spectrum for CHAIN_BLOCK paths at a time.  The output does not depend
+    on CHAIN_BLOCK, bit for bit.
 
     For d <= 4 the spectrum is in closed form.  Padded with zero rows and
     columns to 4 x 4, the accumulator A splits by so(4) = so(3) + so(3)
@@ -71,34 +82,42 @@ def simulate_eigen_chain(
     check_chain_budget(d, n_steps, n_paths, f"n_steps={n_steps} with {n_paths} paths")
     rng = np.random.default_rng(seed)
     out = np.empty((n_steps, n_paths, d // 2))
+    # the step's draws, filled in place: the stream of a fresh array each step
+    v = np.empty((n_paths, d))
+    w = np.empty((n_paths, d))
+    blocks = [slice(lo, lo + CHAIN_BLOCK) for lo in range(0, n_paths, CHAIN_BLOCK)]
     if d <= 4:
         plus = np.zeros((n_paths, 3))
         minus = np.zeros((n_paths, 3))
         # columns d..3 stay zero: the padding to 4 x 4
-        v = np.zeros((n_paths, 4))
-        w = np.zeros((n_paths, 4))
+        vb = np.zeros((min(n_paths, CHAIN_BLOCK), 4))
+        wb = np.zeros_like(vb)
         for n in range(n_steps):
-            v[:, :d] = rng.standard_normal((n_paths, d))
-            w[:, :d] = rng.standard_normal((n_paths, d))
-            # with v = (v0, p) and w = (w0, r), the increment has
-            # (a01, a02, a03) = v0 r - w0 p and (a23, -a13, a12) = p x r
-            first = v[:, :1] * w[:, 1:] - w[:, :1] * v[:, 1:]
-            cross = np.cross(v[:, 1:], w[:, 1:])
-            plus += first + cross
-            minus += first - cross
-            norm_plus = np.linalg.norm(plus, axis=1)
-            norm_minus = np.linalg.norm(minus, axis=1)
-            out[n, :, 0] = (norm_plus + norm_minus) / 2
-            if d == 4:
-                out[n, :, 1] = np.abs(norm_plus - norm_minus) / 2
+            rng.standard_normal(out=v)
+            rng.standard_normal(out=w)
+            for b in blocks:
+                m = len(v[b])
+                vb[:m, :d], wb[:m, :d] = v[b], w[b]
+                p, r = vb[:m], wb[:m]
+                # with v = (v0, p) and w = (w0, r), the increment has
+                # (a01, a02, a03) = v0 r - w0 p and (a23, -a13, a12) = p x r
+                first = p[:, :1] * r[:, 1:] - r[:, :1] * p[:, 1:]
+                cross = np.cross(p[:, 1:], r[:, 1:])
+                plus[b] += first + cross
+                minus[b] += first - cross
+                norm_plus = np.linalg.norm(plus[b], axis=1)
+                norm_minus = np.linalg.norm(minus[b], axis=1)
+                out[n, b, 0] = (norm_plus + norm_minus) / 2
+                if d == 4:
+                    out[n, b, 1] = np.abs(norm_plus - norm_minus) / 2
         return out
     acc = np.zeros((n_paths, d, d))
     for n in range(n_steps):
-        v = rng.standard_normal((n_paths, d))
-        w = rng.standard_normal((n_paths, d))
-        acc += np.einsum("pi,pj->pij", v, w) - np.einsum("pi,pj->pij", w, v)
-        s = np.linalg.svd(acc, compute_uv=False)
-        out[n] = s[:, ::2][:, : d // 2]
+        rng.standard_normal(out=v)
+        rng.standard_normal(out=w)
+        for b in blocks:
+            acc[b] += np.einsum("pi,pj->pij", v[b], w[b]) - np.einsum("pi,pj->pij", w[b], v[b])
+            out[n, b] = np.linalg.svd(acc[b], compute_uv=False)[:, ::2][:, : d // 2]
     return out
 
 

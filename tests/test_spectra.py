@@ -4,6 +4,7 @@ transition density, and its Monte Carlo oracle."""
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -92,6 +93,56 @@ class TestSpectrum:
         # at d >= 5 the d x d accumulator dominates, even at one step
         with pytest.raises(ValueError, match="n_steps=1 with 10000000 paths .*budget"):
             simulate_eigen_chain(9, 1, 10**7, seed=0)
+
+    @pytest.mark.parametrize(
+        "d, n_steps, digest",
+        [
+            (2, 3, "9948df326bf5a63a1cd4c84beec6185068383dd1936c70e7f6c71c6bd421527a"),
+            (3, 3, "b4ceea37fae5dfc91a1f5e5b15f43ac7ddb123afe2f7fb1725ba41e565195cdf"),
+            (4, 3, "1e9cced4117eefd5e245a7da917d89857e504ef9e768c6ec8402cad61cabd04f"),
+            (5, 2, "35e7677425348674ac7b260b21a94e015f70375d6c01c571606baebb7b35aa76"),
+            (6, 2, "5d787249ca330aec7d2800d6fd18808b89123639fae8abe4d43606aa193d3bd0"),
+        ],
+    )
+    def test_chain_digest_is_pinned(self, d, n_steps, digest):
+        """Every float of the chain, bit for bit, over one full block and one
+        path more; recorded when the chain was one batch of all paths."""
+        out = simulate_eigen_chain(d, n_steps, spectra.CHAIN_BLOCK + 1, seed=d)
+        assert out.shape == (n_steps, 4097, d // 2)
+        assert hashlib.sha256(out.astype("<f8").tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_chain_does_not_depend_on_the_block(self, d, monkeypatch):
+        n_steps, n_paths = 3, 50
+        outs = []
+        for block in (1, 7, n_paths):
+            monkeypatch.setattr(spectra, "CHAIN_BLOCK", block)
+            outs.append(simulate_eigen_chain(d, n_steps, n_paths, seed=d + 20))
+        for out in outs[1:]:
+            assert np.array_equal(out, outs[0])
+
+    @pytest.mark.parametrize(
+        "d, n_paths, bound_mb",
+        [
+            # draws 12.8 MB, accumulator 9.6 MB, output 6.4 MB; traced peak
+            # 29.7 MB in blocks, 57.6 MB as one batch
+            (4, 200_000, 40),
+            # draws 1.9 MB, accumulator 5.8 MB, output 1.0 MB; traced peak
+            # 11.0 MB in blocks, 21.1 MB as one batch
+            (6, 20_000, 14),
+        ],
+    )
+    def test_chain_memory_is_its_arrays_and_one_block(self, d, n_paths, bound_mb):
+        """Beyond the step's draws, the accumulator and the output, the chain
+        holds only temporaries of one block of paths."""
+        simulate_eigen_chain(d, 1, 10, seed=0)  # first-use allocations
+        tracemalloc.start()
+        try:
+            simulate_eigen_chain(d, 2, n_paths, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 1e6
 
 
 class TestHd:
