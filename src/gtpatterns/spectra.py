@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from functools import cache, lru_cache
 from itertools import combinations
+from math import exp
 from operator import index
 
 import numpy as np
@@ -166,17 +167,24 @@ def _m(d: int, x: tuple[float, ...], y: tuple[float, ...]) -> float:
     else:
         # the halved two-sided factor is what normalizes the density; it is
         # the continuum limit of the discrete wall weight 1/(1+q)
-        value = (math.exp(-abs(x[-1] - y[-1])) + math.exp(-(x[-1] + y[-1]))) / 2
+        value = (exp(-abs(x[-1] - y[-1])) + exp(-(x[-1] + y[-1]))) / 2
         n = r - 1
     for i in range(n):
-        lo = max(x[i + 1], y[i + 1]) if i + 1 < r else 0.0
-        hi = min(x[i], y[i])
+        # max(a, b) and min(xi, yi) as the builtins decide them, ties and
+        # NaN included, without their call
+        xi, yi = x[i], y[i]
+        if i + 1 < r:
+            a, b = x[i + 1], y[i + 1]
+            lo = b if b > a else a
+        else:
+            lo = 0.0
+        hi = yi if yi < xi else xi
         if hi < lo:
             return 0.0
         # e^{-x_i-y_i} (e^{2 hi} - e^{2 lo}) / 2 with both exponents <= 0, so
         # that no coordinate is large enough to overflow it
-        xy = x[i] + y[i]
-        value *= (math.exp(2 * hi - xy) - math.exp(2 * lo - xy)) / 2
+        xy = xi + yi
+        value *= (exp(2 * hi - xy) - exp(2 * lo - xy)) / 2
     return value
 
 
