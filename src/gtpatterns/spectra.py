@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from functools import cache, lru_cache
 from itertools import combinations
-from math import exp
+from math import exp, expm1
 from operator import index
 
 import numpy as np
@@ -182,9 +182,14 @@ def _m(d: int, x: tuple[float, ...], y: tuple[float, ...]) -> float:
         if hi < lo:
             return 0.0
         # e^{-x_i-y_i} (e^{2 hi} - e^{2 lo}) / 2 with both exponents <= 0, so
-        # that no coordinate is large enough to overflow it
-        xy = xi + yi
-        value *= (exp(2 * hi - xy) - exp(2 * lo - xy)) / 2
+        # that no coordinate overflows it.  Where e^t > 1/2, t = 2 (lo - hi),
+        # the difference would cancel, so it is e^{2 hi - x_i - y_i} (1 - e^t)
+        # through expm1; 0.0 - gives +0.0 to an empty interval
+        xy, t = xi + yi, 2 * (lo - hi)
+        if t > -0.6931471805599453:
+            value *= exp(2 * hi - xy) * (0.0 - expm1(t)) / 2
+        else:
+            value *= (exp(2 * hi - xy) - exp(2 * lo - xy)) / 2
     return value
 
 
