@@ -560,8 +560,8 @@ def check_law_budget(k: int, n: int, radius: int, what: str = "n") -> None:
 # not bounded by any box.  At level k, q^e has at most (sum of coordinates
 # + k) bits(q) bits; the CLI prints no integer past 4300 digits anyway.  The
 # Weyl product of a row with n nonzero entries multiplies at most n r pair
-# factors, r = row_length(k), into integers that grow with each: at the
-# budget (nu at d = 49,999 has 24,999) it takes up to about 2 s.
+# factors, r = row_length(k), in a balanced product: at the budget (nu at
+# d = 49,999 has 24,999) it takes about 0.2 s.
 MAX_ENTRY_BITS = 10**5
 MAX_ENTRY_FACTORS = 25_000
 

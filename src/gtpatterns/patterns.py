@@ -165,6 +165,15 @@ def zero_pattern(k: int) -> Pattern:
 STATE_CACHE = 1 << 14
 
 
+def _tree_prod(factors: list[int]) -> int:
+    """The product of integers, split in halves down to runs of 8, so that
+    the large operands meet only near the root of a balanced tree."""
+    n = len(factors)
+    if n <= 8:
+        return math.prod(factors)
+    return _tree_prod(factors[: n // 2]) * _tree_prod(factors[n // 2 :])
+
+
 @lru_cache(maxsize=STATE_CACHE)
 def weyl_dimension(d: int, lam: Row) -> int:
     """Dimension of the SO(d) irreducible with highest weight lam (1 at d = 2)
@@ -182,12 +191,11 @@ def weyl_dimension(d: int, lam: Row) -> int:
     m = [(1 + odd) * (r - 1 - i) + odd for i in range(r)]
     l = [(1 + odd) * v + w for v, w in zip(lam, m)]
     p = sum(v != 0 for v in lam)
-    num, den = (math.prod(l[:p]), math.prod(m[:p])) if odd else (1, 1)
-    for i in range(p):
-        for j in range(i + 1, r):
-            num *= l[i] ** 2 - l[j] ** 2
-            den *= m[i] ** 2 - m[j] ** 2
-    dim, rest = divmod(num, den)
+    num = [l[i] ** 2 - l[j] ** 2 for i in range(p) for j in range(i + 1, r)]
+    den = [m[i] ** 2 - m[j] ** 2 for i in range(p) for j in range(i + 1, r)]
+    if odd:
+        num, den = num + l[:p], den + m[:p]
+    dim, rest = divmod(_tree_prod(num), _tree_prod(den))
     if rest:
         raise AssertionError(f"non-integer Weyl dimension for d={d}, lam={lam}")
     return dim

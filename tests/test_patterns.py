@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,27 @@ class TestWeylDimension:
     def test_sign_symmetric_for_even_d(self):
         assert weyl_dimension(4, (2, 1)) == weyl_dimension(4, (2, -1))
         assert weyl_dimension(6, (3, 1, 1)) == weyl_dimension(6, (3, 1, -1))
+
+    @given(d=st.integers(2, 24), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_product_in_order(self, d, data):
+        """Against the Weyl product over every positive root, multiplied one
+        Fraction factor at a time with rho in half-integers; rows up to
+        length 12 with entries up to 10^6 take the balanced product past its
+        runs of 8."""
+        r = d // 2
+        lam = sorted(data.draw(st.lists(st.integers(0, 10**6), min_size=r, max_size=r)), reverse=True)
+        if d % 2 == 0 and r and data.draw(st.booleans()):
+            lam[-1] = -lam[-1]
+        l = [v + Fraction(d - 2 - 2 * i, 2) for i, v in enumerate(lam)]
+        rho = [Fraction(d - 2 - 2 * i, 2) for i in range(r)]
+        value = Fraction(1)
+        for i, j in itertools.combinations(range(r), 2):
+            value *= (l[i] ** 2 - l[j] ** 2) / (rho[i] ** 2 - rho[j] ** 2)
+        if d % 2:
+            for li, ri in zip(l, rho):
+                value *= li / ri
+        assert weyl_dimension(d, tuple(lam)) == value
 
     def test_matches_pattern_count(self):
         cases = [
