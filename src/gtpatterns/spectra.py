@@ -3,12 +3,10 @@ its top eigenvalues, and the continuous transition density they follow.
 
 The chain for d <= 4 is sampled in closed form through
 so(4) = so(3) + so(3), with no d x d matrix; for d >= 5 it accumulates the
-matrices and takes a batched SVD per step.  Each step draws its increments
-for all paths at once, then updates and measures CHAIN_BLOCK paths at a
-time, so its memory is the draws, the accumulator and the output, plus the
-temporaries of one block.  The single-matrix SVD
-spectrum, the oracle of both, and the Monte Carlo integral behind m_d are
-kept in tests/oracles.py.
+matrices and takes a batched SVD per step.  A step draws for all paths,
+then updates and measures them in blocks of CHAIN_BLOCK paths.  The
+single-matrix SVD spectrum, the oracle of both, and the Monte Carlo
+integral behind m_d are kept in tests/oracles.py.
 
 Everything here is floating point; tolerances are stated per test. The
 scalar functions h_d, m_d and p_d_density take any sequence of coordinates
@@ -35,16 +33,12 @@ from gtpatterns.patterns import check_budget
 # Budget of the eigenvalue chain's arrays, in floats, checked in O(1) before
 # any allocation and at least 100 times the largest chain in the test suite
 # and the benchmark (2e5 paths at d = 4 for 2 steps, 7.2e6 floats).  A chain
-# holds its (n_steps, n_paths, d//2) output, the step's two (n_paths, d)
-# draws and its accumulator (6 floats per path at d <= 4, d x d at d >= 5);
-# every other temporary holds one block of CHAIN_BLOCK paths.  The estimate
-# counts 32 floats per path at d <= 4 and 4 d^2 at d >= 5: an upper bound.
+# holds its (n_steps, n_paths, d//2) output, its two (n_paths, d) draws and
+# its accumulator (6 floats per path at d <= 4, d^2 at d >= 5); any other
+# array holds CHAIN_BLOCK paths.  The estimate, an upper bound, counts 32
+# floats per path at d <= 4 and 4 d^2 at d >= 5.
 MAX_CHAIN_FLOATS = 10**9
-
-# Paths per block of the chain.  Each step draws v and w for every path, then
-# updates the accumulator and writes the spectrum one block at a time, so no
-# temporary holds more than CHAIN_BLOCK paths.
-CHAIN_BLOCK = 4096
+CHAIN_BLOCK = 4096  # paths per block of the chain's update
 
 
 def check_chain_budget(d: int, n_steps: int, n_paths: int, what: str) -> None:
@@ -62,9 +56,8 @@ def simulate_eigen_chain(
 
     Returns an array of shape (n_steps, n_paths, d//2): the spectrum after
     each accumulated increment.  Each step draws v, then w, with shape
-    (n_paths, d), whatever d is; it then updates the accumulator and writes
-    the spectrum for CHAIN_BLOCK paths at a time.  The output does not depend
-    on CHAIN_BLOCK, bit for bit.
+    (n_paths, d), whatever d is, then updates and measures CHAIN_BLOCK paths
+    at a time; the output does not depend on CHAIN_BLOCK, bit for bit.
 
     For d <= 4 the spectrum is in closed form.  Padded with zero rows and
     columns to 4 x 4, the accumulator A splits by so(4) = so(3) + so(3)
@@ -90,16 +83,12 @@ def simulate_eigen_chain(
     if d <= 4:
         plus = np.zeros((n_paths, 3))
         minus = np.zeros((n_paths, 3))
-        # columns d..3 stay zero: the padding to 4 x 4
-        vb = np.zeros((min(n_paths, CHAIN_BLOCK), 4))
-        wb = np.zeros_like(vb)
         for n in range(n_steps):
             rng.standard_normal(out=v)
             rng.standard_normal(out=w)
             for b in blocks:
-                m = len(v[b])
-                vb[:m, :d], wb[:m, :d] = v[b], w[b]
-                p, r = vb[:m], wb[:m]
+                # zero columns d..3: the padding to 4 x 4
+                p, r = (np.pad(a[b], ((0, 0), (0, 4 - d))) for a in (v, w))
                 # with v = (v0, p) and w = (w0, r), the increment has
                 # (a01, a02, a03) = v0 r - w0 p and (a23, -a13, a12) = p x r
                 first = p[:, :1] * r[:, 1:] - r[:, :1] * p[:, 1:]
@@ -161,30 +150,25 @@ def h_d(d: int, lam) -> float:
 
 def _m(d: int, x: tuple[float, ...], y: tuple[float, ...]) -> float:
     """m_d on coordinates already converted by _floats."""
-    r = len(x)
+    n = len(x)
     if d % 2 == 1:
-        value, n = 1.0, r
+        # a wall at 0 below the last coordinate
+        value, x, y = 1.0, x + (0.0,), y + (0.0,)
     else:
         # the halved two-sided factor is what normalizes the density; it is
         # the continuum limit of the discrete wall weight 1/(1+q)
         value = (exp(-abs(x[-1] - y[-1])) + exp(-(x[-1] + y[-1]))) / 2
-        n = r - 1
+        n -= 1
     for i in range(n):
-        # max(a, b) and min(xi, yi) as the builtins decide them, ties and
-        # NaN included, without their call
-        xi, yi = x[i], y[i]
-        if i + 1 < r:
-            a, b = x[i + 1], y[i + 1]
-            lo = b if b > a else a
-        else:
-            lo = 0.0
+        # max(a, b) and min(xi, yi) as the builtins decide, ties and NaN too
+        xi, yi, a, b = x[i], y[i], x[i + 1], y[i + 1]
+        lo = b if b > a else a
         hi = yi if yi < xi else xi
         if hi < lo:
             return 0.0
-        # e^{-x_i-y_i} (e^{2 hi} - e^{2 lo}) / 2 with both exponents <= 0, so
-        # that no coordinate overflows it.  Where e^t > 1/2, t = 2 (lo - hi),
-        # the difference would cancel, so it is e^{2 hi - x_i - y_i} (1 - e^t)
-        # through expm1; 0.0 - gives +0.0 to an empty interval
+        # e^{-x_i-y_i} (e^{2 hi} - e^{2 lo}) / 2 with exponents <= 0, so that
+        # no coordinate overflows it; through expm1 where the difference would
+        # cancel, e^t > 1/2 with t = 2 (lo - hi); 0.0 - keeps +0.0 at lo = hi
         xy, t = xi + yi, 2 * (lo - hi)
         if t > -0.6931471805599453:
             value *= exp(2 * hi - xy) * (0.0 - expm1(t)) / 2
