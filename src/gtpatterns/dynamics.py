@@ -8,24 +8,17 @@ Two models share the same blocking/pushing geometry:
 * a continuous-time model where every particle attempts unit jumps after
   independent rate-1 exponential clocks.
 
-Particle (l, j) is the j-th entry of row l.  Both simulators key their
-state by particle, and the keys present are the pattern's geometry: the
-upper-left neighbour of (l, j) is (l-1, j-1), the particle above it is
-(l-1, j), and a wall particle is one with no particle above; it reflects
-at 0.  A clock ring of the continuous-time model is one push/block rule:
-a right ring is blocked by an equal upper-left neighbour and pushes the
-equal column below, a left ring is blocked by an equal particle above and
-pushes the equal diagonal below, and a wall particle's left ring at 0
-reflects into a right ring.
+Particle (l, j) is the j-th entry of row l.  Both simulators index it by
+its place in `particles(k)` and read the pattern's geometry from one cached
+table, `neighbours(k)`; a wall particle has no particle above and reflects
+at 0.  `as_patterns` turns either simulator's state into patterns.
 
-The discrete Monte Carlo simulator is vectorized over paths.  Its step
-also takes given noise, a pair (xi_half, xi_full) of particle-keyed draws,
-so a property test pins it to the scalar step, an oracle kept in
-tests/oracles.py.  The continuous-time simulator draws its clock rings by
-uniformization, in batches of a chunk of paths by a window of time: Poisson
-ring counts, sorted uniform ring times and uniform clocks; it then applies
-each ring in time order, one event rule call per ring.  Both simulators
-refuse a run whose expected work is over a fixed budget.
+The discrete simulator is vectorized over paths, one array per particle;
+its step also takes given noise, so a property test pins it to the scalar
+step, an oracle kept in tests/oracles.py.  The continuous-time simulator
+holds each path's state as a list of ints and applies its clock rings, drawn
+by uniformization, one event rule call each.  Both simulators refuse a run
+whose expected work is over a fixed budget.
 
 The top row of the continuous-time model is Markov, with the
 ratio-of-dimensions rates of `generator_rate`.  Its law at a fixed time,
@@ -38,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from operator import index
 
 import numpy as np
@@ -55,6 +49,22 @@ def particles(k: int) -> list[tuple[int, int]]:
 def particle_count(k: int) -> int:
     """len(particles(k)), without listing them."""
     return (k + 1) ** 2 // 4
+
+
+@cache
+def neighbours(k: int) -> tuple[tuple[int | None, ...], ...]:
+    """Per particle (l, j) of particles(k), the indices in particles(k) of
+    (l-1, j-1), (l-1, j), (l+1, j) and (l+1, j+1), or None where none is."""
+    at = {key: p for p, key in enumerate(particles(k))}
+    near = ((-1, -1), (-1, 0), (1, 0), (1, 1))
+    return tuple(tuple(at.get((l + a, j + b)) for a, b in near) for l, j in particles(k))
+
+
+def as_patterns(columns, k: int) -> list[Pattern]:
+    """Each path's pattern, rows as tuples, from one sequence of values
+    across paths per particle, in particles(k) order."""
+    rows = [columns[particle_count(l - 1):particle_count(l)] for l in range(1, k + 1)]
+    return list(zip(*[zip(*row) for row in rows]))
 
 
 # Fixed work budgets, each at least 100 times the largest run in the test
@@ -104,7 +114,7 @@ def geometric_draws(rng: np.random.Generator, q: float, size) -> np.ndarray:
 class DiscreteSimulation:
     """Vectorized simulation of the discrete-time model over many paths.
 
-    State is held as one integer array of shape (n_paths,) per particle.
+    State is held as one integer array of shape (n_paths,) per particle, keyed (l, j).
     """
 
     def __init__(self, q: Fraction | float, k: int, n_paths: int, seed: int):
@@ -119,38 +129,39 @@ class DiscreteSimulation:
         self.rng = np.random.default_rng(seed)
         self.state = {key: np.zeros(n_paths, dtype=np.int64) for key in particles(k)}
 
-    def step(self, noise: tuple[dict, dict] | None = None) -> None:
+    def step(self, noise: tuple[list, list] | None = None) -> None:
+        """One step; noise, if given, is (xi_half, xi_full): draws in particles(k) order."""
+        old, table = [self.state[key] for key in particles(self.k)], neighbours(self.k)
         if noise is None:
             q, rng, n = self.q, self.rng, self.n_paths
-            xi_half = {key: geometric_draws(rng, q, n) for key in self.state}
-            xi_full = {key: geometric_draws(rng, q, n) for key in self.state}
+            xi_half = [geometric_draws(rng, q, n) for _ in old]
+            xi_full = [geometric_draws(rng, q, n) for _ in old]
         else:
             xi_half, xi_full = noise
 
         # left half-step
-        old = self.state
-        half: dict[tuple[int, int], np.ndarray] = {}
-        for l, j in old:
-            tilde = old[(l, j)]
-            if (l - 1, j - 1) in old:
-                tilde = np.minimum(tilde, half[(l - 1, j - 1)])
+        half = []
+        for p, (upper_left, above, _, _) in enumerate(table):
+            tilde = old[p]
+            if upper_left is not None:
+                tilde = np.minimum(tilde, half[upper_left])
             # a free particle jumps, blocked by the old particle above; a
             # wall particle only moves if pushed
-            if (l - 1, j) in old:
-                tilde = np.maximum(old[(l - 1, j)], tilde - xi_half[(l, j)])
-            half[(l, j)] = tilde
+            if above is not None:
+                tilde = np.maximum(old[above], tilde - xi_half[p])
+            half.append(tilde)
 
         # right full-step
-        new: dict[tuple[int, int], np.ndarray] = {}
-        for l, j in old:
-            if (l - 1, j) in old:
-                moved = np.maximum(new[(l - 1, j)], half[(l, j)]) + xi_full[(l, j)]
+        new = []
+        for p, (upper_left, above, _, _) in enumerate(table):
+            if above is not None:
+                moved = np.maximum(new[above], half[p]) + xi_full[p]
             else:
-                moved = np.abs(half[(l, j)] + xi_full[(l, j)] - xi_half[(l, j)])
-            if (l - 1, j - 1) in old:
-                moved = np.minimum(moved, half[(l - 1, j - 1)])
-            new[(l, j)] = moved
-        self.state = new
+                moved = np.abs(half[p] + xi_full[p] - xi_half[p])
+            if upper_left is not None:
+                moved = np.minimum(moved, half[upper_left])
+            new.append(moved)
+        self.state = dict(zip(particles(self.k), new))
 
     def run(self, horizon: int) -> None:
         if horizon < 0:
@@ -161,49 +172,37 @@ class DiscreteSimulation:
 
     def row(self, l: int) -> np.ndarray:
         """Row l across paths, shape (n_paths, row_length(l))."""
-        return np.stack(
-            [self.state[(l, j)] for j in range(1, row_length(l) + 1)], axis=1
-        )
+        return np.stack([self.state[(l, j)] for j in range(1, row_length(l) + 1)], axis=1)
 
     def patterns(self) -> list[Pattern]:
-        """Each path's pattern, rows as tuples of Python ints.  Each row is
-        converted column by column with tolist(), then zipped per path."""
-        rows = [zip(*self.row(l).T.tolist()) for l in range(1, self.k + 1)]
-        return list(zip(*rows))
+        """Each path's pattern, rows as tuples of Python ints."""
+        return as_patterns([self.state[key].tolist() for key in particles(self.k)], self.k)
 
 
 # ---------------------------------------------------------------------------
 # continuous-time model
 # ---------------------------------------------------------------------------
 
-def ctmc_apply_event(y: dict, i: int, j: int, right: bool) -> int:
-    """Apply one clock ring of particle (i, j) to the state y, rightward if
-    right, else leftward.  An equal blocker, (i-1, j-1) for a right ring and
-    (i-1, j) for a left one, stops it; otherwise the mover and the chain of
-    equal particles below it, along (i+1, j) or (i+1, j+1), move one unit.
-    A wall particle's left ring at 0 reflects into a right ring.  The
-    neighbours are read from the keys of y.  Returns the first row of the
-    chain that did not move: i if the ring was blocked, k + 1 if it moved a
-    particle of the top row k."""
-    value = y[(i, j)]
-    if not right and value == 0 and (i - 1, j) not in y:
-        right = True
-    blocker = (i - 1, j - 1) if right else (i - 1, j)
-    if y.get(blocker) == value:
-        return i
-    step, dj = (1, 0) if right else (-1, 1)
-    while y.get((i, j)) == value:
-        y[(i, j)] += step
-        i += 1
-        j += dj
-    return i
-
-
-def ctmc_state_as_pattern(y: dict, k: int) -> Pattern:
-    return tuple([
-        tuple([y[(i, j)] for j in range(1, row_length(i) + 1)])
-        for i in range(1, k + 1)
-    ])
+def ctmc_apply_event(y: list[int], p: int, right: bool, k: int) -> int:
+    """Apply one clock ring of particle p to the state y, the values of
+    particles(k) in order, rightward if right, else leftward.  An equal
+    blocker, the upper-left neighbour for a right ring and the particle
+    above for a left one, stops it; otherwise the mover and the chain of
+    equal particles below it, down the column for a right ring and the
+    diagonal for a left one, move one unit.  A wall particle's left ring at
+    0 reflects into a right ring.  Returns the index of the last particle
+    moved, -1 if blocked; the top row moved if it is >= particle_count(k - 1)."""
+    table = neighbours(k)
+    value = y[p]
+    upper_left, above, _, _ = table[p]
+    right = right or (value == 0 and above is None)
+    blocker, step, down = (upper_left, 1, 2) if right else (above, -1, 3)
+    if blocker is not None and y[blocker] == value:
+        return -1
+    while p is not None and y[p] == value:
+        y[p] += step
+        last, p = p, table[p][down]
+    return last
 
 
 @dataclass
@@ -236,10 +235,10 @@ def ctmc_simulate(k: int, t_max: float, n_paths: int, seed: int) -> CtmcResult:
         raise ValueError(f"need k >= 1 and n_paths >= 1, got k={k}, n_paths={n_paths}")
     check_ctmc_budget(k, t_max, n_paths)
     rng = np.random.default_rng(seed)
-    keys = particles(k)
-    top_keys = [key for key in keys if key[0] == k]
-    # event 2n is particle n's right clock, event 2n+1 its left clock
-    events = [(i, j, right) for i, j in keys for right in (True, False)]
+    n_particles = particle_count(k)
+    top = particle_count(k - 1)  # the top row's first index
+    # event 2p is particle p's right clock, event 2p+1 its left clock
+    events = [(p, right) for p in range(n_particles) for right in (True, False)]
     total_rate = len(events)
     n_windows = math.ceil(total_rate * t_max / CTMC_WINDOW_RINGS)
     tau = t_max / n_windows
@@ -247,9 +246,9 @@ def ctmc_simulate(k: int, t_max: float, n_paths: int, seed: int) -> CtmcResult:
     top_time: dict[Row, float] = {}
     top_jumps: dict[tuple[Row, Row], int] = {}
     for first in range(0, n_paths, CTMC_CHUNK):
-        ys = [dict.fromkeys(keys, 0) for _ in range(min(CTMC_CHUNK, n_paths - first))]
+        ys = [[0] * n_particles for _ in range(min(CTMC_CHUNK, n_paths - first))]
         # each path's top row and the time it took that value
-        tops = [((0,) * len(top_keys), 0.0)] * len(ys)
+        tops = [((0,) * row_length(k), 0.0)] * len(ys)
         for w in range(n_windows):
             counts = rng.poisson(total_rate * tau, len(ys))
             path = np.repeat(np.arange(len(ys)), counts)
@@ -258,18 +257,18 @@ def ctmc_simulate(k: int, t_max: float, n_paths: int, seed: int) -> CtmcResult:
             clocks = rng.integers(0, total_rate, path.size).tolist()
             end = 0
             for p, n in enumerate(counts.tolist()):
-                y, (top, since) = ys[p], tops[p]
+                y, (row, since) = ys[p], tops[p]
                 for c, t in zip(clocks[end:end + n], times[end:end + n]):
-                    if ctmc_apply_event(y, *events[c]) > k:  # the top row moved
-                        after = tuple([y[key] for key in top_keys])
-                        top_time[top] = top_time.get(top, 0.0) + (t - since)
-                        top_jumps[top, after] = top_jumps.get((top, after), 0) + 1
-                        top, since = after, t
-                tops[p] = top, since
+                    if ctmc_apply_event(y, *events[c], k) >= top:  # the top row moved
+                        after = tuple(y[top:])
+                        top_time[row] = top_time.get(row, 0.0) + (t - since)
+                        top_jumps[row, after] = top_jumps.get((row, after), 0) + 1
+                        row, since = after, t
+                tops[p] = row, since
                 end += n
-        for top, since in tops:
-            top_time[top] = top_time.get(top, 0.0) + (t_max - since)
-        finals += [ctmc_state_as_pattern(y, k) for y in ys]
+        for row, since in tops:
+            top_time[row] = top_time.get(row, 0.0) + (t_max - since)
+        finals += as_patterns(list(zip(*ys)), k)
     return CtmcResult(finals, top_time, top_jumps)
 
 
@@ -286,9 +285,7 @@ def generator_rate(k: int, lam: Row, beta: Row) -> Fraction:
     r = row_length(k)
     if len(lam) != r or len(beta) != r:
         raise ValueError(f"rows must have length {r}")
-    diffs = [beta[i] - lam[i] for i in range(r)]
-    nonzero = [i for i, d in enumerate(diffs) if d != 0]
-    if len(nonzero) != 1 or abs(diffs[nonzero[0]]) != 1:
+    if sorted(abs(b - a) for a, b in zip(lam, beta)) != [0] * (r - 1) + [1]:
         raise ValueError("beta must be a unit-step neighbour of lam")
     if not is_nonneg_row(beta):
         return Fraction(0)

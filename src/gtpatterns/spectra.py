@@ -66,6 +66,7 @@ def simulate_eigen_chain(
     ((|u+| + |u-|)/2, ||u+| - |u-||/2).  No difference of squares is
     taken, so the absolute error stays at eps * s1, as for the SVD.  For
     d >= 5 each step takes the SVD of the (n_paths, d, d) accumulator.
+    A has rank <= 2n after n increments, so coordinates c >= n are written +0.0.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -100,6 +101,7 @@ def simulate_eigen_chain(
                 out[n, b, 0] = (norm_plus + norm_minus) / 2
                 if d == 4:
                     out[n, b, 1] = np.abs(norm_plus - norm_minus) / 2
+            out[n, :, n + 1:] = 0.0
         return out
     acc = np.zeros((n_paths, d, d))
     for n in range(n_steps):
@@ -108,6 +110,7 @@ def simulate_eigen_chain(
         for b in blocks:
             acc[b] += np.einsum("pi,pj->pij", v[b], w[b]) - np.einsum("pi,pj->pij", w[b], v[b])
             out[n, b] = np.linalg.svd(acc[b], compute_uv=False)[:, ::2][:, : d // 2]
+        out[n, :, n + 1:] = 0.0
     return out
 
 

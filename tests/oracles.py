@@ -1,9 +1,12 @@
 """Independent oracles for the package, used only by the tests; pytest
 collects only test_*.py, so this module holds no tests itself.  Each is a
 slower or more literal form of what the package computes, and none imports
-a private name from it.  A discrete step's noise is the pair
-(xi_half, xi_full) of particle-keyed dicts that `DiscreteSimulation.step`
-takes; the scalar step reads it row by row, not by walking the keys.
+a private name from it.  The scalar discrete step takes its noise as a pair
+(xi_half, xi_full) of particle-keyed dicts and reads it row by row;
+`DiscreteSimulation.step` takes the same draws as two sequences in
+`particles(k)` order.  The scalar step finds each particle's neighbours by
+row and column, not through `dynamics.neighbours`, so it stays independent
+of the table both simulators read.
 """
 
 from __future__ import annotations

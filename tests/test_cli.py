@@ -88,6 +88,14 @@ def test_experiment_exit_codes(capsys):
     assert main(args + ["--tolerance", "1e-9"]) == 1
 
 
+@pytest.mark.parametrize("k", ["3", "4"])
+def test_default_large_q_passes(k, capsys):
+    """At the default horizon 1 the chain's coordinates past the first are
+    exact zeros, as the discrete model's are; a rounding residue there read
+    KS 0.41 at k = 3 and 1.0 at k = 4."""
+    assert main(["experiment", "large-q", "--k", k]) == 0
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["count"])

@@ -16,11 +16,12 @@ from gtpatterns.dynamics import (
     CTMC_CHUNK,
     CTMC_WINDOW_RINGS,
     DiscreteSimulation,
+    as_patterns,
     ctmc_apply_event,
     ctmc_simulate,
-    ctmc_state_as_pattern,
     generator_rate,
     geometric_draws,
+    neighbours,
     particle_count,
     particles,
     semigroup_law,
@@ -37,12 +38,48 @@ def test_particle_count_matches_particles():
     assert [particle_count(k) for k in range(1, 13)] == [len(particles(k)) for k in range(1, 13)]
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_neighbours_index_the_pattern_geometry(k):
+    """Each particle's four neighbours, looked up by key, at the indices
+    the table gives; a wall particle (no particle above) ends each odd row."""
+    keys = particles(k)
+    table = neighbours(k)
+    assert len(table) == len(keys)
+    for (l, j), near in zip(keys, table):
+        for (a, b), p in zip(((l - 1, j - 1), (l - 1, j), (l + 1, j), (l + 1, j + 1)), near):
+            assert p == (keys.index((a, b)) if (a, b) in keys else None)
+        assert (near[1] is None) == (l % 2 == 1 and j == row_length(l))
+    assert neighbours(k) is table
+
+
+def flat(pat):
+    """A pattern's values in particles(k) order."""
+    return [v for row in pat for v in row]
+
+
+def as_pattern(y, k):
+    """One state in particles(k) order as a pattern."""
+    return as_patterns([[v] for v in y], k)[0]
+
+
+def test_as_patterns_inverts_flat():
+    pats = list(enumerate_patterns(4, (2, 1)))
+    assert as_patterns(list(zip(*map(flat, pats))), 4) == pats
+    assert all(as_pattern(flat(pat), 4) == pat for pat in pats)
+
+
 def noise_from_dicts(k, half, full):
     keys = particles(k)
     return (
         {key: half.get(key, 0) for key in keys},
         {key: full.get(key, 0) for key in keys},
     )
+
+
+def noise_in_order(k, noise):
+    """Particle-keyed noise as the simulator takes it: arrays in
+    particles(k) order."""
+    return tuple([np.asarray(xi[key]).reshape(-1) for key in particles(k)] for xi in noise)
 
 
 def generator_matrix(k, radius):
@@ -120,8 +157,8 @@ class TestDiscreteStep:
         noise = noise_from_dicts(3, {(2, 1): 2, (3, 1): 2}, {})
         assert discrete_step(x, noise) == (expected, expected)
         sim = DiscreteSimulation(0.5, 3, 1, seed=0)
-        sim.state = {(l, j): np.array([x[l - 1][j - 1]]) for l, j in sim.state}
-        sim.step(tuple({key: np.array([v]) for key, v in xi.items()} for xi in noise))
+        sim.state = dict(zip(particles(3), np.array([flat(x)]).T))
+        sim.step(noise_in_order(3, noise))
         assert sim.patterns() == [expected]
 
     def test_push_right_on_full_step(self):
@@ -175,12 +212,12 @@ class TestVectorizedSimulation:
         n_paths = 16
         rng = np.random.default_rng(seed)
         sim = DiscreteSimulation(0.5, k, n_paths, seed=seed + 1)
-        keys = list(sim.state)
+        keys = particles(k)
         scalars = [zero_pattern(k)] * n_paths
         for _ in range(3):
             xi_half = {key: geometric_draws(rng, 0.5, n_paths) for key in keys}
             xi_full = {key: geometric_draws(rng, 0.5, n_paths) for key in keys}
-            sim.step((xi_half, xi_full))
+            sim.step(noise_in_order(k, (xi_half, xi_full)))
             for p in range(n_paths):
                 noise = (
                     {key: int(xi_half[key][p]) for key in keys},
@@ -191,6 +228,20 @@ class TestVectorizedSimulation:
         assert all(type(v) is int for pat in sim.patterns() for row in pat for v in row)
         # every coordinate stays >= 0, wall particles included
         assert all(v >= 0 for pat in sim.patterns() for row in pat for v in row)
+
+    def test_step_memory_is_one_array_per_particle_and_draw(self):
+        """At q = 0.99, k = 3, 2e5 paths and 2 steps the state is 6.4 MB and
+        a step's draws 12.8 MB.  With one array per particle the traced peak
+        reads 30.5 MiB; with the state, the draws and the half-step each one
+        (particles, paths) array it read 42.7 MiB."""
+        DiscreteSimulation(0.99, 3, 10, 1).run(2)  # first-use allocations
+        tracemalloc.start()
+        try:
+            DiscreteSimulation(0.99, 3, 200_000, 1).run(2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
     def test_geometric_draws_distribution(self):
         rng = np.random.default_rng(7)
@@ -204,33 +255,41 @@ class TestVectorizedSimulation:
 class TestCtmc:
     def test_right_pushes_stack(self):
         # rows 1..3 all at 0; the row-1 particle jumping right pushes the
-        # whole equal column below it
+        # whole equal column below it, down to (3, 1) of the top row
         k = 3
-        y = {(1, 1): 0, (2, 1): 0, (3, 1): 0, (3, 2): 0}
-        ctmc_apply_event(y, 1, 1, True)
-        assert ctmc_state_as_pattern(y, k) == ((1,), (1,), (1, 0))
+        y = [0, 0, 0, 0]  # (1, 1), (2, 1), (3, 1), (3, 2)
+        assert ctmc_apply_event(y, 0, True, k) == 2
+        assert as_pattern(y, k) == ((1,), (1,), (1, 0))
 
     def test_right_blocked_by_upper_left(self):
         k = 3
-        y = {(1, 1): 0, (2, 1): 0, (3, 1): 0, (3, 2): 0}
+        y = [0, 0, 0, 0]
         # (3, 2) sits level with its upper-left neighbour (2, 1): blocked
-        ctmc_apply_event(y, 3, 2, True)
-        assert y[(3, 2)] == 0
+        assert ctmc_apply_event(y, 3, True, k) == -1
+        assert y[3] == 0
         # (3, 1) has no upper-left neighbour and moves freely
-        ctmc_apply_event(y, 3, 1, True)
-        assert y[(3, 1)] == 1
+        ctmc_apply_event(y, 2, True, k)
+        assert y[2] == 1
 
     def test_wall_reflection(self):
-        y = {(1, 1): 0}
-        ctmc_apply_event(y, 1, 1, False)
-        assert y[(1, 1)] == 1  # reflected into a right attempt
-        ctmc_apply_event(y, 1, 1, False)
-        assert y[(1, 1)] == 0  # ordinary left move
+        y = [0]
+        ctmc_apply_event(y, 0, False, 1)
+        assert y[0] == 1  # reflected into a right attempt
+        ctmc_apply_event(y, 0, False, 1)
+        assert y[0] == 0  # ordinary left move
 
     def test_left_blocked_by_row_above(self):
-        y = {(1, 1): 1, (2, 1): 1}
-        ctmc_apply_event(y, 2, 1, False)
-        assert y[(2, 1)] == 1  # blocked: equal to the particle above
+        y = [1, 1]
+        ctmc_apply_event(y, 1, False, 2)
+        assert y[1] == 1  # blocked: equal to the particle above
+
+    def test_chain_end_below_the_top_row_is_not_a_top_move(self):
+        # (1, 1) moves left; the diagonal below it, (2, 2), does not exist,
+        # so the chain ends in row 1 and the top row stays
+        k = 3
+        y = flat(((1,), (1,), (1, 0)))
+        assert ctmc_apply_event(y, 0, False, k) == 0 < particle_count(k - 1)
+        assert as_pattern(y, k) == ((0,), (1,), (1, 0))
 
     def test_final_patterns_valid(self):
         # one path past a chunk of CTMC_CHUNK paths
@@ -255,16 +314,14 @@ class TestCtmc:
     def test_interlacing_preserved_under_all_events(self):
         rng = np.random.default_rng(11)
         k = 5
-        particles = [
-            (i, j) for i in range(1, k + 1) for j in range(1, row_length(i) + 1)
-        ]
-        y = {p: 0 for p in particles}
+        n = particle_count(k)
+        y = [0] * n
         for _ in range(3000):
-            i, j = particles[rng.integers(len(particles))]
-            top = ctmc_state_as_pattern(y, k)[-1]
-            moved_row_k = ctmc_apply_event(y, i, j, rng.integers(2) == 0) > k
-            assert pattern_is_valid(ctmc_state_as_pattern(y, k))
-            assert moved_row_k == (ctmc_state_as_pattern(y, k)[-1] != top)
+            p = int(rng.integers(n))
+            top = as_pattern(y, k)[-1]
+            moved_row_k = ctmc_apply_event(y, p, rng.integers(2) == 0, k) >= particle_count(k - 1)
+            assert pattern_is_valid(as_pattern(y, k))
+            assert moved_row_k == (as_pattern(y, k)[-1] != top)
 
     def test_event_rule_is_pinned(self):
         """Every right and left ring of every particle, from every
@@ -276,17 +333,12 @@ class TestCtmc:
                 for pat in enumerate_patterns(k, top):
                     if any(v < 0 for row in pat for v in row):
                         continue
-                    state = {
-                        (i, j): v for i, row in enumerate(pat, 1) for j, v in enumerate(row, 1)
-                    }
-                    for i, j in state:
+                    for p, (i, j) in enumerate(particles(k)):
                         for right in (True, False):
-                            y = dict(state)
-                            ctmc_apply_event(y, i, j, right)
+                            y = flat(pat)
+                            ctmc_apply_event(y, p, right, k)
                             direction = "right" if right else "left"
-                            lines.append(
-                                f"{pat}:{i},{j}:{direction}:{ctmc_state_as_pattern(y, k)}"
-                            )
+                            lines.append(f"{pat}:{i},{j}:{direction}:{as_pattern(y, k)}")
         assert len(lines) == 20188
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
             "29e3a77028ebd4e3e7af50359203926599d215d4e8fb7b963679317aeecb98fb"

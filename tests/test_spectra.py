@@ -99,17 +99,52 @@ class TestSpectrum:
         [
             (2, 3, "9948df326bf5a63a1cd4c84beec6185068383dd1936c70e7f6c71c6bd421527a"),
             (3, 3, "b4ceea37fae5dfc91a1f5e5b15f43ac7ddb123afe2f7fb1725ba41e565195cdf"),
-            (4, 3, "1e9cced4117eefd5e245a7da917d89857e504ef9e768c6ec8402cad61cabd04f"),
-            (5, 2, "35e7677425348674ac7b260b21a94e015f70375d6c01c571606baebb7b35aa76"),
-            (6, 2, "5d787249ca330aec7d2800d6fd18808b89123639fae8abe4d43606aa193d3bd0"),
+            (4, 3, "9d48e47382f6b98c0c69383eef4836b07d1fa7c58b75e23597a26129aa5dff0a"),
+            (5, 2, "ca71601968657fd74ef0c190b2489c3e8bbf7bd297d136a5f6c199e568018426"),
+            (6, 2, "f603cf9d8dc0b98bfcd70c7dbc8f10fafacab441d120ecea6ee0f4340ff4b68e"),
         ],
     )
     def test_chain_digest_is_pinned(self, d, n_steps, digest):
         """Every float of the chain, bit for bit, over one full block and one
-        path more; recorded when the chain was one batch of all paths."""
+        path more; recorded when the chain was one batch of all paths.  The
+        d = 4, 5, 6 pins were re-recorded when the coordinates past the rank
+        bound became +0.0: only those entries changed, each from a rounding
+        residue of at most 3.5e-15."""
         out = simulate_eigen_chain(d, n_steps, spectra.CHAIN_BLOCK + 1, seed=d)
         assert out.shape == (n_steps, 4097, d // 2)
         assert hashlib.sha256(out.astype("<f8").tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 7])
+    def test_coordinates_past_the_rank_are_exact_zeros(self, d):
+        """After n increments the accumulator has rank <= 2n, so spectrum
+        coordinates c >= n are +0.0, as the discrete model's are, and the
+        ones below are positive."""
+        n_steps = d // 2
+        out = simulate_eigen_chain(d, n_steps, 500, seed=d + 30)
+        for n in range(n_steps):
+            past = out[n, :, n + 1:]
+            assert np.all(past == 0.0) and not np.signbit(past).any()
+            assert np.all(out[n, :, : n + 1] > 0)
+
+    @pytest.mark.parametrize("d, name, per_block", [(4, "norm", 2), (5, "svd", 1)])
+    def test_each_call_sees_one_block_of_paths(self, d, name, per_block, monkeypatch):
+        """The d <= 4 norms (two per block) and the d >= 5 SVD (one per
+        block) each see at most CHAIN_BLOCK paths, and each step's calls
+        cover every path once per norm or SVD: an SVD of the whole
+        accumulator per block, or norms over all paths, fail here."""
+        n_steps, n_paths = 2, 2 * spectra.CHAIN_BLOCK + 1
+        real = getattr(np.linalg, name)
+        rows = []
+
+        def counted(a, *args, **kwargs):
+            rows.append(len(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+        simulate_eigen_chain(d, n_steps, n_paths, seed=0)
+        assert 0 < max(rows) <= spectra.CHAIN_BLOCK
+        per_step = np.reshape(rows, (n_steps, -1)).sum(axis=1)
+        assert per_step.tolist() == [per_block * n_paths] * n_steps
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_chain_does_not_depend_on_the_block(self, d, monkeypatch):
