@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from gtpatterns import dynamics, experiments, kernels, patterns
+from gtpatterns import dynamics, experiments, kernels, patterns, stats
 
 
 def _parse_row(text: str) -> tuple[int, ...]:
@@ -115,7 +115,7 @@ def _cmd_simulate(args) -> int:
         float(_parse_q(args.q)), args.k, args.paths, args.seed
     )
     sim.run(args.horizon)
-    hist = Counter(",".join(str(int(v)) for v in row) for row in sim.row(args.k))
+    hist = Counter(",".join(map(str, row)) for row in stats.rows_to_tuples(sim.row(args.k)))
     _emit(args, {"experiment": "simulate", "k": args.k, "histogram": hist})
     return 0
 

@@ -104,11 +104,14 @@ def check_discrete_budget(k: int, steps: float, n_paths: int, what: str) -> None
 # ---------------------------------------------------------------------------
 
 def geometric_draws(rng: np.random.Generator, q: float, size) -> np.ndarray:
-    """Inverse-CDF geometric draws with pmf q^x (1-q), x >= 0."""
+    """Inverse-CDF geometric draws with pmf q^x (1-q), x >= 0, computed in the
+    array of uniforms u: it allocates u, the u == 0 mask and the result."""
     u = rng.random(size)
     # guard u == 0 (log(0)); probability zero but numpy can return it
-    u = np.where(u == 0.0, 0.5, u)
-    return np.floor(np.log(u) / np.log(q)).astype(np.int64)
+    u[u == 0.0] = 0.5
+    np.log(u, out=u)
+    u /= np.log(q)
+    return np.floor(u, out=u).astype(np.int64)
 
 
 class DiscreteSimulation:

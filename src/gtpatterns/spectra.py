@@ -13,15 +13,15 @@ scalar functions h_d, m_d and p_d_density take any sequence of coordinates
 (tuple, list or ndarray), convert it once and compute on Python floats:
 they sit inside quadratures, where numpy scalar arithmetic would cost more
 than the arithmetic itself.  A quadrature holds the start x fixed, so
-p_d_density checks x and computes h_d(x) once per (d, x), in a bounded
-cache; y is converted on every call.
+p_d_density checks x and computes h_d(x) and m_d's interval bounds of x
+(with the odd-d wall at 0) once per (d, x), in a bounded cache; each call
+converts y and does only the work that y decides.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache, lru_cache
-from itertools import combinations
 from math import exp, expm1
 from operator import index
 
@@ -80,16 +80,18 @@ def simulate_eigen_chain(
     # the step's draws, filled in place: the stream of a fresh array each step
     v = np.empty((n_paths, d))
     w = np.empty((n_paths, d))
-    blocks = [slice(lo, lo + CHAIN_BLOCK) for lo in range(0, n_paths, CHAIN_BLOCK)]
+    blocks = [slice(lo, min(lo + CHAIN_BLOCK, n_paths)) for lo in range(0, n_paths, CHAIN_BLOCK)]
     if d <= 4:
         plus = np.zeros((n_paths, 3))
         minus = np.zeros((n_paths, 3))
+        # one block of v and w padded to 4 x 4: columns d..3 stay zero
+        padded = np.zeros((2, min(CHAIN_BLOCK, n_paths), 4))
         for n in range(n_steps):
             rng.standard_normal(out=v)
             rng.standard_normal(out=w)
             for b in blocks:
-                # zero columns d..3: the padding to 4 x 4
-                p, r = (np.pad(a[b], ((0, 0), (0, 4 - d))) for a in (v, w))
+                p, r = padded[:, : b.stop - b.start]
+                p[:, :d], r[:, :d] = v[b], w[b]
                 # with v = (v0, p) and w = (w0, r), the increment has
                 # (a01, a02, a03) = v0 r - w0 p and (a23, -a13, a12) = p x r
                 first = p[:, :1] * r[:, 1:] - r[:, :1] * p[:, 1:]
@@ -115,8 +117,8 @@ def simulate_eigen_chain(
 
 
 @cache
-def _h_d_norm(d: int) -> float:
-    """The normalizer of h_d, which depends on d only; computed once per d."""
+def _h_table(d: int) -> tuple[tuple[tuple[int, int], ...], float]:
+    """h_d's coordinate pairs i < j and its normalizer, once per d."""
     r = d // 2
     c = 1.0
     for i in range(1, r + 1):
@@ -124,7 +126,7 @@ def _h_d_norm(d: int) -> float:
             c *= (j - i) * (d - j - i)
         if d % 2:
             c *= r + 0.5 - i
-    return c
+    return tuple((i, j) for i in range(r) for j in range(i + 1, r)), c
 
 
 def _floats(v, r: int, name: str) -> tuple[float, ...]:
@@ -137,12 +139,13 @@ def _floats(v, r: int, name: str) -> tuple[float, ...]:
 
 def _h(d: int, lam: tuple[float, ...]) -> float:
     """h_d on coordinates already converted by _floats."""
+    pairs, norm = _h_table(d)
     v = 1.0
-    for a, b in combinations(lam, 2):
-        v *= (a - b) * (a + b)
+    for i, j in pairs:
+        v *= (lam[i] - lam[j]) * (lam[i] + lam[j])
     if d % 2:
         v *= math.prod(lam)
-    return v / _h_d_norm(d)
+    return v / norm
 
 
 def h_d(d: int, lam) -> float:
@@ -151,20 +154,25 @@ def h_d(d: int, lam) -> float:
     return _h(d, _floats(lam, d // 2, "lam"))
 
 
-def _m(d: int, x: tuple[float, ...], y: tuple[float, ...]) -> float:
-    """m_d on coordinates already converted by _floats."""
-    n = len(x)
-    if d % 2 == 1:
-        # a wall at 0 below the last coordinate
-        value, x, y = 1.0, x + (0.0,), y + (0.0,)
+def _bounds(d: int, x: tuple[float, ...]) -> tuple[tuple[int, float, float], ...]:
+    """m_d's interval bounds that x decides, (i, x_i, x_{i+1}) for each free
+    coordinate i of z, with a wall at 0 below the last one when d is odd."""
+    x += (0.0,) * (d % 2)
+    return tuple((i, x[i], x[i + 1]) for i in range(len(x) - 1))
+
+
+def _m(d: int, x: tuple[float, ...], y: tuple[float, ...], bounds) -> float:
+    """m_d on coordinates already converted by _floats, with x's bounds."""
+    if d % 2:
+        value, y = 1.0, y + (0.0,)  # y's wall at 0
     else:
         # the halved two-sided factor is what normalizes the density; it is
         # the continuum limit of the discrete wall weight 1/(1+q)
-        value = (exp(-abs(x[-1] - y[-1])) + exp(-(x[-1] + y[-1]))) / 2
-        n -= 1
-    for i in range(n):
+        xr, yr = x[-1], y[-1]
+        value = (exp(-abs(xr - yr)) + exp(-(xr + yr))) / 2
+    for i, xi, a in bounds:
         # max(a, b) and min(xi, yi) as the builtins decide, ties and NaN too
-        xi, yi, a, b = x[i], y[i], x[i + 1], y[i + 1]
+        yi, b = y[i], y[i + 1]
         lo = b if b > a else a
         hi = yi if yi < xi else xi
         if hi < lo:
@@ -185,14 +193,14 @@ def m_d(d: int, x, y) -> float:
 
     The integral over z with z interlacing both x and y factorizes into
     per-coordinate integrals of e^{2z} over [L_i, U_i]."""
-    r = d // 2
-    return _m(d, _floats(x, r, "x, y"), _floats(y, r, "x, y"))
+    x, y = (_floats(v, d // 2, "x, y") for v in (x, y))
+    return _m(d, x, y, _bounds(d, x))
 
 
 @lru_cache(maxsize=64)
-def _start(d: int, x: tuple) -> tuple[tuple[float, ...], float]:
-    """x as floats and h_d(x), for x in the open cone; cached per (d, x),
-    since a quadrature over y calls p_d_density with one x throughout."""
+def _start(d: int, x: tuple) -> tuple[tuple[float, ...], float, tuple]:
+    """x as floats, h_d(x) and m_d's bounds of x, for x in the open cone; cached
+    per (d, x), since a quadrature over y calls p_d_density with one x."""
     if d < 2:
         raise ValueError("d must be >= 2")
     # a wrong length is reported as h_d reports it
@@ -201,16 +209,15 @@ def _start(d: int, x: tuple) -> tuple[tuple[float, ...], float]:
     # h_d(x) > 0 alone passes an even number of negative factors
     if not (hx > 0.0 and x[-1] >= 0.0 and all(map(float.__gt__, x, x[1:]))):
         raise ValueError("x must lie in the interior of the spectral cone")
-    return x, hx
+    return x, hx, _bounds(d, x)
 
 
 def p_d_density(d: int, x, y) -> float:
     """Transition density of the top-eigenvalue chain:
     p_d(x, y) = h_d(y) m_d(x, y) / h_d(x), for x in the open cone.
 
-    The start x is checked and h_d(x) computed once per (d, x), in a
-    bounded cache; y is converted on every call."""
-    x, hx = _start(d, tuple(x))
+    The start x is checked, and h_d(x) and m_d's bounds of x computed, once
+    per (d, x), in a bounded cache; y is converted on every call."""
+    x, hx, bounds = _start(d, tuple(x))
     y = _floats(y, d // 2, "lam")
-    return _h(d, y) * _m(d, x, y) / hx
-
+    return _h(d, y) * _m(d, x, y, bounds) / hx

@@ -90,6 +90,14 @@ def geometric_pmf(q: Fraction, x: int) -> Fraction:
     return q**x * (1 - q)
 
 
+def geometric_draws_where(rng: np.random.Generator, q: float, size) -> np.ndarray:
+    """Inverse-CDF geometric draws through fresh arrays: the u == 0 guard by
+    np.where, then floor(log(u) / log(q)) in one expression."""
+    u = rng.random(size)
+    u = np.where(u == 0.0, 0.5, u)
+    return np.floor(np.log(u) / np.log(q)).astype(np.int64)
+
+
 def estimate_wall_rate(t_max: float, n_paths: int, seed: int) -> float:
     """Empirical jump rate 0 -> 1 of the single-particle model, which the
     wall reflection doubles to 2."""

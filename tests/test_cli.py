@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import hashlib
 import json
 import math
 import os
@@ -75,6 +76,16 @@ def test_simulate_writes_histogram(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["experiment"] == "simulate"
     assert sum(payload["histogram"].values()) == 500
+
+
+def test_simulate_output_is_pinned(capsys):
+    """The whole JSON, byte for byte, as recorded when each histogram key was
+    built from numpy entries one int() at a time."""
+    args = ["simulate", "--k", "3", "--q", "1/2", "--horizon", "5"]
+    assert main([*args, "--paths", "2000", "--seed", "1"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "d445ce45d4a3a86dc9f19119377c2081a258967346ade1c75894120dd3556762"
+    )
 
 
 def test_experiment_exit_codes(capsys):

@@ -29,7 +29,7 @@ from gtpatterns.dynamics import (
 from gtpatterns.experiments import experiment_ctmc_marginal
 from gtpatterns.kernels import states_in_box
 from gtpatterns.patterns import enumerate_patterns, pattern_is_valid, row_length, zero_pattern
-from oracles import discrete_step, estimate_wall_rate, half_step_left
+from oracles import discrete_step, estimate_wall_rate, geometric_draws_where, half_step_left
 
 Q = Fraction
 
@@ -250,6 +250,26 @@ class TestVectorizedSimulation:
         # P(xi = 0) = 1 - q = 0.5
         assert abs(np.mean(draws == 0) - 0.5) < 0.01
         assert abs(np.mean(draws) - 1.0) < 0.02  # mean q/(1-q) = 1
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("size", [(), 1, 20_000])
+    @pytest.mark.parametrize("q", [1 / 200, 1 / 2, 0.99])
+    def test_geometric_draws_match_the_fresh_array_form(self, q, size, zeros):
+        """The in-place draws give the integers of the np.where form from the
+        same stream; a stub stream of u == 0 checks the guard, u = 1/2."""
+
+        class Zeros:
+            def random(self, size):
+                return np.zeros(size)
+
+        def rng():
+            return Zeros() if zeros else np.random.default_rng(11)
+
+        draws, oracle = geometric_draws(rng(), q, size), geometric_draws_where(rng(), q, size)
+        assert draws.dtype == np.int64 and draws.shape == np.shape(oracle)
+        assert np.array_equal(draws, oracle)
+        if zeros:
+            assert np.all(draws == math.floor(math.log(0.5) / math.log(q)))
 
 
 class TestCtmc:

@@ -473,6 +473,20 @@ def test_density_matches_fifty_digit_closed_form(case, shift):
         assert m_d(d, cast(x), cast(y)) == m_d(d, x, y)
 
 
+@given(d=st.integers(2, 8), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_density_from_the_cached_start_is_the_formula(d, data):
+    """p_d_density reads h_d(x) and m_d's bounds of x from its cached start;
+    they give, to the last bit, the value built from h_d and m_d afresh, for
+    y in the cone and for y in any order."""
+    r = d // 2
+    x = data.draw(_cone_point(r))
+    y = data.draw(
+        _cone_point(r) | st.lists(st.floats(0.0, 12.0), min_size=r, max_size=r).map(tuple)
+    )
+    assert p_d_density(d, x, y) == h_d(d, y) * m_d(d, x, y) / h_d(d, x)
+
+
 def _weyl_sum_density(d, x, y):
     """(h_d(y)/h_d(x)) sum_w sgn(w) prod_i e^{-|y_i - (wx)_i|}/2 over the Weyl
     group W of SO(d): the signed permutations w, with
