@@ -121,8 +121,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_ctmc(args) -> int:
-    res = dynamics.ctmc_simulate(args.k, args.t_max, args.paths, args.seed)
-    hist = Counter(";".join(",".join(map(str, row)) for row in pat) for pat in res.patterns)
+    pats = dynamics.ctmc_simulate(args.k, args.t_max, args.paths, args.seed)
+    hist = Counter(";".join(",".join(map(str, row)) for row in pat) for pat in pats)
     _emit(args, {"experiment": "ctmc", "k": args.k, "histogram": hist})
     return 0
 
@@ -130,6 +130,7 @@ def _cmd_ctmc(args) -> int:
 # the optional flags each experiment reads, with their defaults
 _EXPERIMENT_FLAGS = {
     "markov-marginal": {"q": "1/2", "horizon": 1, "radius": 60},
+    "ctmc-marginal": {"t_max": 1.0, "radius": 25},
     "small-q": {"big_n": 200, "t_max": 1.0},
     "large-q": {"big_n": 200, "horizon": 1},
 }
@@ -152,6 +153,15 @@ def _cmd_experiment(args) -> int:
             k=args.k,
             horizon=args.horizon,
             q=_parse_q(args.q),
+            n_paths=args.paths,
+            seed=args.seed,
+            radius=args.radius,
+            threshold=args.tolerance,
+        )
+    elif args.which == "ctmc-marginal":
+        report = experiments.experiment_ctmc_marginal(
+            k=args.k,
+            t_max=args.t_max,
             n_paths=args.paths,
             seed=args.seed,
             radius=args.radius,
@@ -238,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ctmc)
 
     p = sub.add_parser("experiment", help="theorem-level comparison experiments")
-    p.add_argument("which", choices=["markov-marginal", "small-q", "large-q"])
+    p.add_argument("which", choices=list(_EXPERIMENT_FLAGS))
     p.add_argument("--k", type=int, required=True)
     # defaults per experiment: _EXPERIMENT_FLAGS
     p.add_argument("--q")

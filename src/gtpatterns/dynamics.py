@@ -16,28 +16,31 @@ at 0.  `as_patterns` turns either simulator's state into patterns.
 The discrete simulator is vectorized over paths, one array per particle;
 its step also takes given noise, so a property test pins it to the scalar
 step, an oracle kept in tests/oracles.py.  The continuous-time simulator
-holds each path's state as a list of ints and applies its clock rings, drawn
-by uniformization, one event rule call each.  Both simulators refuse a run
-whose expected work is over a fixed budget.
+holds each path's state as a list of ints, applies its clock rings, drawn
+by uniformization, one event rule call each, and returns only the final
+patterns.  Both simulators refuse a run whose expected work is over a fixed
+budget.
 
 The top row of the continuous-time model is Markov, with the
-ratio-of-dimensions rates of `generator_rate`.  Its law at a fixed time,
-`semigroup_law`, is in closed form: the reflection sum over the Weyl group
-of SO(k+1), one determinant of Bessel functions per state.
+ratio-of-dimensions rates dim(beta) / dim(lam) of SO(k+1), doubled out of
+a zero wall coordinate at odd k, which a test reads off the event rule.
+Its law at a fixed time, `semigroup_law`, is in closed form: the
+reflection sum over the Weyl group of SO(k+1), one determinant of Bessel
+functions per state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from operator import index
 
 import numpy as np
 
 from gtpatterns.patterns import (
-    Pattern, Row, check_budget, is_nonneg_row, row_length, weyl_dimension,
+    Pattern, Row, check_budget, row_length, weyl_dimension,
 )
 
 
@@ -186,35 +189,24 @@ class DiscreteSimulation:
 # continuous-time model
 # ---------------------------------------------------------------------------
 
-def ctmc_apply_event(y: list[int], p: int, right: bool, k: int) -> int:
+def ctmc_apply_event(y: list[int], p: int, right: bool, k: int) -> None:
     """Apply one clock ring of particle p to the state y, the values of
     particles(k) in order, rightward if right, else leftward.  An equal
     blocker, the upper-left neighbour for a right ring and the particle
     above for a left one, stops it; otherwise the mover and the chain of
     equal particles below it, down the column for a right ring and the
     diagonal for a left one, move one unit.  A wall particle's left ring at
-    0 reflects into a right ring.  Returns the index of the last particle
-    moved, -1 if blocked; the top row moved if it is >= particle_count(k - 1)."""
+    0 reflects into a right ring."""
     table = neighbours(k)
     value = y[p]
     upper_left, above, _, _ = table[p]
     right = right or (value == 0 and above is None)
     blocker, step, down = (upper_left, 1, 2) if right else (above, -1, 3)
     if blocker is not None and y[blocker] == value:
-        return -1
+        return
     while p is not None and y[p] == value:
         y[p] += step
-        last, p = p, table[p][down]
-    return last
-
-
-@dataclass
-class CtmcResult:
-    patterns: list[Pattern]
-    # occupation time and outgoing jump counts of the top row, for
-    # empirical generator estimates
-    top_row_time: dict[Row, float]
-    top_row_jumps: dict[tuple[Row, Row], int]
+        p = table[p][down]
 
 
 # Rings are drawn for a chunk of at most CTMC_CHUNK paths and one window of
@@ -224,13 +216,13 @@ CTMC_CHUNK = 1024
 CTMC_WINDOW_RINGS = 32
 
 
-def ctmc_simulate(k: int, t_max: float, n_paths: int, seed: int) -> CtmcResult:
-    """Simulation by uniformization: each particle carries two rate-1
-    clocks, so a path's rings are a Poisson process with the total rate and
-    each ring's clock is uniform among the (particle, direction) pairs.  For
-    a chunk of paths and a window of time, each path's ring count is drawn
-    Poisson, its ring times as sorted uniforms over the window and its
-    clocks uniformly; the rings are then applied in time order, one
+def ctmc_simulate(k: int, t_max: float, n_paths: int, seed: int) -> list[Pattern]:
+    """Each path's pattern at t_max, by uniformization: each particle
+    carries two rate-1 clocks, so a path's rings are a Poisson process with
+    the total rate and each ring's clock is uniform among the (particle,
+    direction) pairs, independent of the ring times.  For a chunk of paths
+    and a window of time, each path's ring count is drawn Poisson and its
+    clocks uniformly; they are then applied in order, one
     `ctmc_apply_event` call each."""
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
@@ -239,64 +231,27 @@ def ctmc_simulate(k: int, t_max: float, n_paths: int, seed: int) -> CtmcResult:
     check_ctmc_budget(k, t_max, n_paths)
     rng = np.random.default_rng(seed)
     n_particles = particle_count(k)
-    top = particle_count(k - 1)  # the top row's first index
     # event 2p is particle p's right clock, event 2p+1 its left clock
     events = [(p, right) for p in range(n_particles) for right in (True, False)]
     total_rate = len(events)
     n_windows = math.ceil(total_rate * t_max / CTMC_WINDOW_RINGS)
     tau = t_max / n_windows
     finals: list[Pattern] = []
-    top_time: dict[Row, float] = {}
-    top_jumps: dict[tuple[Row, Row], int] = {}
     for first in range(0, n_paths, CTMC_CHUNK):
         ys = [[0] * n_particles for _ in range(min(CTMC_CHUNK, n_paths - first))]
-        # each path's top row and the time it took that value
-        tops = [((0,) * row_length(k), 0.0)] * len(ys)
-        for w in range(n_windows):
-            counts = rng.poisson(total_rate * tau, len(ys))
-            path = np.repeat(np.arange(len(ys)), counts)
-            u = rng.uniform(w * tau, (w + 1) * tau, path.size)
-            times = u[np.lexsort((u, path))].tolist()
-            clocks = rng.integers(0, total_rate, path.size).tolist()
-            end = 0
-            for p, n in enumerate(counts.tolist()):
-                y, (row, since) = ys[p], tops[p]
-                for c, t in zip(clocks[end:end + n], times[end:end + n]):
-                    if ctmc_apply_event(y, *events[c], k) >= top:  # the top row moved
-                        after = tuple(y[top:])
-                        top_time[row] = top_time.get(row, 0.0) + (t - since)
-                        top_jumps[row, after] = top_jumps.get((row, after), 0) + 1
-                        row, since = after, t
-                tops[p] = row, since
-                end += n
-        for row, since in tops:
-            top_time[row] = top_time.get(row, 0.0) + (t_max - since)
+        for _ in range(n_windows):
+            counts = rng.poisson(total_rate * tau, len(ys)).tolist()
+            clocks = iter(rng.integers(0, total_rate, sum(counts)).tolist())
+            for y, n in zip(ys, counts):
+                for c in islice(clocks, n):
+                    ctmc_apply_event(y, *events[c], k)
         finals += as_patterns(list(zip(*ys)), k)
-    return CtmcResult(finals, top_time, top_jumps)
+    return finals
 
 
 # ---------------------------------------------------------------------------
-# the top-row marginal: its generator and its law at a fixed time
+# the top-row marginal: its law at a fixed time
 # ---------------------------------------------------------------------------
-
-def generator_rate(k: int, lam: Row, beta: Row) -> Fraction:
-    """Jump rate of the top-row process from lam to beta = lam +- e_i.
-
-    Wall reflection doubles the rate out of a zero wall coordinate when k
-    is odd.  Rows that leave the weight cone get rate 0.
-    """
-    r = row_length(k)
-    if len(lam) != r or len(beta) != r:
-        raise ValueError(f"rows must have length {r}")
-    if sorted(abs(b - a) for a, b in zip(lam, beta)) != [0] * (r - 1) + [1]:
-        raise ValueError("beta must be a unit-step neighbour of lam")
-    if not is_nonneg_row(beta):
-        return Fraction(0)
-    rate = Fraction(weyl_dimension(k + 1, beta), weyl_dimension(k + 1, lam))
-    if k % 2 == 1 and lam[-1] == 0 and beta[-1] == 1:
-        rate *= 2
-    return rate
-
 
 def semigroup_law(k: int, radius: int, t: float) -> dict[Row, float]:
     """Law at time t, from zero, of the top-row process on the rows with

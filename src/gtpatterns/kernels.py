@@ -131,24 +131,6 @@ def nu_pmf(q: Fraction, d: int, m: int) -> Fraction:
     return (1 - q) ** (d - 1) * q**m * weyl_dimension(d, gamma_row(d, m)) / (1 + q)
 
 
-def nu_tail_bound(q: Fraction, d: int, m_max: int) -> Fraction:
-    """Rigorous upper bound on sum_{m > m_max} nu(m).
-
-    Uses s_{d-1}(gamma_m) = C(m+d-2, d-2) + C(m+d-3, d-2).  From m to m+1
-    the two binomials grow by (m+d-1)/(m+1) and (m+d-2)/m, so for m >= 1
-    the sum grows by at most (m+d-2)/m, a ratio decreasing in m; the tail
-    from m on is dominated by a geometric series once q (m+d-2)/m < 1.
-    """
-    q = _check_q(q)
-    m = m_max + 1
-    rho = q * Fraction(m + d - 2, m)
-    while rho >= 1:
-        m += 1
-        rho = q * Fraction(m + d - 2, m)
-    head = sum((nu_pmf(q, d, j) for j in range(m_max + 1, m)), Q(0))
-    return head + nu_pmf(q, d, m) / (1 - rho)
-
-
 def pieri_decompose(d: int, lam: Row, m: int) -> dict[Row, int]:
     """Multiplicities M_{lam, gamma_m}(beta) in V_lam (x) V_gamma_m for SO(d).
 
@@ -179,16 +161,6 @@ def pieri_decompose(d: int, lam: Row, m: int) -> dict[Row, int]:
                     beta = (head,) + tail + end
                     mult[beta] = mult.get(beta, 0) + 1
     return mult
-
-
-def mu_pmf(d: int, lam: Row, m: int, beta: Row) -> Fraction:
-    """mu_m(lam, beta) = s_{d-1}(beta) M_{lam,gamma_m}(beta)
-    / (s_{d-1}(lam) s_{d-1}(gamma_m))."""
-    mult = pieri_decompose(d, lam, m).get(beta, 0)
-    if mult == 0:
-        return Q(0)
-    dims = weyl_dimension(d, lam) * weyl_dimension(d, gamma_row(d, m))
-    return Fraction(weyl_dimension(d, beta) * mult, dims)
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +210,6 @@ def _p_d(q: Fraction, d: int, lam: Row, beta: Row) -> Fraction:
         weyl_dimension(d, beta) * (b - a) ** (d - 1) * num,
         weyl_dimension(d, lam) * b ** (d - 1 + top) * (a + b),
     )
-
-
-def p_d_series(
-    q: Fraction, d: int, lam: Row, beta: Row, m_max: int
-) -> tuple[Fraction, Fraction]:
-    """Series form P_d = sum_m mu_m(lam, beta) nu(m), truncated at m_max,
-    with a rigorous bound on the neglected tail."""
-    q = _check_q(q)
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
-    partial = sum((mu_pmf(d, lam, m, beta) * nu_pmf(q, d, m) for m in range(m_max + 1)), Q(0))
-    return partial, nu_tail_bound(q, d, m_max)
 
 
 # ---------------------------------------------------------------------------

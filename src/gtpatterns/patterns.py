@@ -157,10 +157,6 @@ def enumerate_patterns(k: int, lam: Row) -> Iterator[Pattern]:
             yield body + (lam,)
 
 
-def zero_pattern(k: int) -> Pattern:
-    return tuple((0,) * row_length(i) for i in range(1, k + 1))
-
-
 # Bound of the caches that see the same few rows or states on every call.
 STATE_CACHE = 1 << 14
 

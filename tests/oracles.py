@@ -6,7 +6,9 @@ a private name from it.  The scalar discrete step takes its noise as a pair
 `DiscreteSimulation.step` takes the same draws as two sequences in
 `particles(k)` order.  The scalar step finds each particle's neighbours by
 row and column, not through `dynamics.neighbours`, so it stays independent
-of the table both simulators read.
+of the table both simulators read.  The continuous-time top row's rates
+come twice: `generator_rate` in closed form, and `top_row_rates` read off
+the event rule `dynamics.ctmc_apply_event`; a test holds them equal.
 """
 
 from __future__ import annotations
@@ -16,8 +18,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from gtpatterns.dynamics import ctmc_simulate
-from gtpatterns.patterns import Pattern, Row, row_length
+from gtpatterns.dynamics import ctmc_apply_event, particle_count
+from gtpatterns.kernels import gamma_row, nu_pmf, pieri_decompose
+from gtpatterns.patterns import (
+    Pattern, Row, enumerate_patterns, is_nonneg_row, row_length, weyl_dimension,
+)
+
+
+def zero_pattern(k: int) -> Pattern:
+    return tuple((0,) * row_length(i) for i in range(1, k + 1))
 
 
 def half_step_left(x: Pattern, noise: tuple[dict, dict]) -> Pattern:
@@ -80,11 +89,17 @@ def discrete_step(x: Pattern, noise: tuple[dict, dict]) -> tuple[Pattern, Patter
     return x_half, full_step_right(x_half, noise)
 
 
-def geometric_pmf(q: Fraction, x: int) -> Fraction:
-    """P(xi = x) = q^x (1-q) for x >= 0."""
+def check_q(q: Fraction) -> Fraction:
+    """q as a Fraction, refused unless 0 < q < 1."""
     q = Fraction(q)
     if not 0 < q < 1:
         raise ValueError(f"q must be in (0,1), got {q}")
+    return q
+
+
+def geometric_pmf(q: Fraction, x: int) -> Fraction:
+    """P(xi = x) = q^x (1-q) for x >= 0."""
+    q = check_q(q)
     if x < 0:
         raise ValueError("x must be >= 0")
     return q**x * (1 - q)
@@ -98,15 +113,91 @@ def geometric_draws_where(rng: np.random.Generator, q: float, size) -> np.ndarra
     return np.floor(np.log(u) / np.log(q)).astype(np.int64)
 
 
-def estimate_wall_rate(t_max: float, n_paths: int, seed: int) -> float:
-    """Empirical jump rate 0 -> 1 of the single-particle model, which the
-    wall reflection doubles to 2."""
-    res = ctmc_simulate(1, t_max, n_paths, seed)
-    time_at_zero = res.top_row_time.get((0,), 0.0)
-    jumps = res.top_row_jumps.get(((0,), (1,)), 0)
-    if time_at_zero == 0.0:
-        raise RuntimeError("no occupation time at zero; increase n_paths")
-    return jumps / time_at_zero
+def nu_tail_bound(q: Fraction, d: int, m_max: int) -> Fraction:
+    """Rigorous upper bound on sum_{m > m_max} nu(m).
+
+    Uses s_{d-1}(gamma_m) = C(m+d-2, d-2) + C(m+d-3, d-2).  From m to m+1
+    the two binomials grow by (m+d-1)/(m+1) and (m+d-2)/m, so for m >= 1
+    the sum grows by at most (m+d-2)/m, a ratio decreasing in m; the tail
+    from m on is dominated by a geometric series once q (m+d-2)/m < 1,
+    which is why q >= 1 is refused first.
+    """
+    q = check_q(q)
+    m = m_max + 1
+    rho = q * Fraction(m + d - 2, m)
+    while rho >= 1:
+        m += 1
+        rho = q * Fraction(m + d - 2, m)
+    head = sum((nu_pmf(q, d, j) for j in range(m_max + 1, m)), Fraction(0))
+    return head + nu_pmf(q, d, m) / (1 - rho)
+
+
+def mu_pmf(d: int, lam: Row, m: int, beta: Row) -> Fraction:
+    """mu_m(lam, beta) = s_{d-1}(beta) M_{lam,gamma_m}(beta)
+    / (s_{d-1}(lam) s_{d-1}(gamma_m))."""
+    mult = pieri_decompose(d, lam, m).get(beta, 0)
+    if mult == 0:
+        return Fraction(0)
+    dims = weyl_dimension(d, lam) * weyl_dimension(d, gamma_row(d, m))
+    return Fraction(weyl_dimension(d, beta) * mult, dims)
+
+
+def p_d_series(
+    q: Fraction, d: int, lam: Row, beta: Row, m_max: int
+) -> tuple[Fraction, Fraction]:
+    """Series form P_d = sum_m mu_m(lam, beta) nu(m), truncated at m_max,
+    with a rigorous bound on the neglected tail: the oracle of
+    `kernels.p_d_closed`."""
+    q = check_q(q)
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
+    partial = sum(
+        (mu_pmf(d, lam, m, beta) * nu_pmf(q, d, m) for m in range(m_max + 1)), Fraction(0)
+    )
+    return partial, nu_tail_bound(q, d, m_max)
+
+
+def generator_rate(k: int, lam: Row, beta: Row) -> Fraction:
+    """Jump rate of the continuous-time top-row process from lam to
+    beta = lam +- e_i: dim(beta) / dim(lam) for SO(k+1).
+
+    Wall reflection doubles the rate out of a zero wall coordinate when k
+    is odd.  Rows that leave the weight cone get rate 0.
+    """
+    r = row_length(k)
+    if len(lam) != r or len(beta) != r:
+        raise ValueError(f"rows must have length {r}")
+    if sorted(abs(b - a) for a, b in zip(lam, beta)) != [0] * (r - 1) + [1]:
+        raise ValueError("beta must be a unit-step neighbour of lam")
+    if not is_nonneg_row(beta):
+        return Fraction(0)
+    rate = Fraction(weyl_dimension(k + 1, beta), weyl_dimension(k + 1, lam))
+    if k % 2 == 1 and lam[-1] == 0 and beta[-1] == 1:
+        rate *= 2
+    return rate
+
+
+def top_row_rates(k: int, lam: Row) -> dict[Row, Fraction]:
+    """The continuous-time top row's jump rates out of lam, read exactly off
+    the event rule: every rate-1 clock (p, right) rung once on every
+    pattern with top row lam, its particles at the entries' absolute
+    values, counting the rings that move the top row to each beta, over
+    the number of patterns.  Given its top row, the pattern is uniform
+    under the Gibbs law the dynamics keeps, so these are the top row's
+    rates, which `generator_rate` gives in closed form."""
+    top = particle_count(k - 1)  # the top row's first index
+    moves: dict[Row, int] = {}
+    n_patterns = 0
+    for pat in enumerate_patterns(k, lam):
+        n_patterns += 1
+        start = [abs(v) for row in pat for v in row]
+        for p in range(particle_count(k)):
+            for right in (True, False):
+                y = start.copy()
+                ctmc_apply_event(y, p, right, k)
+                if (beta := tuple(y[top:])) != lam:
+                    moves[beta] = moves.get(beta, 0) + 1
+    return {beta: Fraction(n, n_patterns) for beta, n in moves.items()}
 
 
 def sample_increment(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -23,16 +23,21 @@ from gtpatterns.kernels import (
     check_intertwining,
     n_step_law,
     nu_pmf,
-    nu_tail_bound,
     p_d_closed,
-    p_d_series,
     pieri_decompose,
     gamma_row,
 )
 from gtpatterns.patterns import count_patterns, row_length, weyl_dimension
 from gtpatterns.patterns import weyl_dimension as s_dim
 from gtpatterns.spectra import m_d, p_d_density
-from oracles import estimate_wall_rate, m_d_monte_carlo, sample_increment, top_spectrum
+from oracles import (
+    m_d_monte_carlo,
+    nu_tail_bound,
+    p_d_series,
+    sample_increment,
+    top_row_rates,
+    top_spectrum,
+)
 
 Q = Fraction
 
@@ -184,17 +189,16 @@ def test_06_top_row_is_markov_with_exact_kernel(capsys, k, n, radius, tol, seed)
 def test_07_continuous_time_generator(capsys):
     """The exponential-clock top row follows the ratio-of-dimensions
     generator: law at t=1 matches its exact Weyl-group law, and the doubled
-    wall rate is recovered empirically."""
+    wall rate, read exactly off the event rule, is 2."""
     tv = experiment_ctmc_marginal(
         k=2, t_max=1.0, n_paths=100_000, seed=201, radius=25, threshold=0.02
     ).value
-    rate = estimate_wall_rate(2.0, 20_000, seed=202)
-    ok = tv < 0.02 and abs(rate - 2.0) / 2.0 < 0.05
+    rate = top_row_rates(1, (0,))[(1,)]
+    ok = tv < 0.02 and rate == 2
     announce(
         capsys,
         ok,
-        f"continuous-time generator: tv={tv:.4f} < 0.02, wall rate {rate:.3f} "
-        "within 5% of 2",
+        f"continuous-time generator: tv={tv:.4f} < 0.02, wall rate {rate} == 2",
     )
 
 

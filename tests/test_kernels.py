@@ -23,12 +23,9 @@ from gtpatterns.kernels import (
     enumerate_pair_states,
     gamma_row,
     l_k_pmf,
-    mu_pmf,
     n_step_law,
     nu_pmf,
-    nu_tail_bound,
     p_d_closed,
-    p_d_series,
     pieri_decompose,
     q_k_pmf,
     r_k_pmf,
@@ -47,7 +44,7 @@ from gtpatterns.patterns import (
     row_value_ok,
 )
 from gtpatterns.patterns import weyl_dimension as s_dim
-from oracles import geometric_pmf
+from oracles import geometric_pmf, mu_pmf, nu_tail_bound, p_d_series
 
 Q = Fraction
 HALF = Q(1, 2)

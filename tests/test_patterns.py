@@ -19,8 +19,8 @@ from gtpatterns.patterns import (
     pattern_is_valid,
     row_length,
     weyl_dimension,
-    zero_pattern,
 )
+from oracles import zero_pattern
 
 
 def test_row_length():
