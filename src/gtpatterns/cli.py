@@ -2,15 +2,16 @@
 
 Subcommands mirror the library surface: exact kernel evaluation, identity
 checks, simulation, and the theorem-level experiments.  Exit code 0 means
-all requested checks passed, 1 means a check failed, 2 means bad usage:
-a malformed command line, or an argument the library rejects with
-ValueError, reported as one line on stderr.
+all requested checks passed, 1 means a check failed or a reader closed
+stdout early, 2 means bad usage: a malformed command line, or an argument
+the library rejects with ValueError, reported as one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -148,44 +149,21 @@ def _cmd_experiment(args) -> int:
         raise ValueError(f"--horizon must be >= 1, got {args.horizon}")
     if not args.tolerance > 0:
         raise ValueError(f"--tolerance must be > 0, got {args.tolerance}")
+    common = {"k": args.k, "seed": args.seed, "threshold": args.tolerance}
     if args.which == "markov-marginal":
         report = experiments.experiment_markov_marginal(
-            k=args.k,
-            horizon=args.horizon,
-            q=_parse_q(args.q),
-            n_paths=args.paths,
-            seed=args.seed,
-            radius=args.radius,
-            threshold=args.tolerance,
-        )
+            horizon=args.horizon, q=_parse_q(args.q), n_paths=args.paths, radius=args.radius,
+            **common)
     elif args.which == "ctmc-marginal":
         report = experiments.experiment_ctmc_marginal(
-            k=args.k,
-            t_max=args.t_max,
-            n_paths=args.paths,
-            seed=args.seed,
-            radius=args.radius,
-            threshold=args.tolerance,
-        )
+            t_max=args.t_max, n_paths=args.paths, radius=args.radius, **common)
     elif args.which == "small-q":
         report = experiments.experiment_small_q(
-            k=args.k,
-            big_n=args.big_n,
-            t_max=args.t_max,
-            n_paths_discrete=args.paths,
-            n_paths_ctmc=args.paths,
-            seed=args.seed,
-            threshold=args.tolerance,
-        )
+            big_n=args.big_n, t_max=args.t_max, n_paths_discrete=args.paths,
+            n_paths_ctmc=args.paths, **common)
     else:
         report = experiments.experiment_large_q(
-            k=args.k,
-            big_n=args.big_n,
-            n_steps=args.horizon,
-            n_samples=args.paths,
-            seed=args.seed,
-            threshold=args.tolerance,
-        )
+            big_n=args.big_n, n_steps=args.horizon, n_samples=args.paths, **common)
     print(report.summary())
     _emit(args, report.to_dict())
     return 0 if report.passed else 1
@@ -280,6 +258,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"gtpatterns: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): what is left goes to
+        # the null device, so that the flush at exit raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

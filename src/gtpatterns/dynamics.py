@@ -15,7 +15,9 @@ at 0.  `as_patterns` turns either simulator's state into patterns.
 
 The discrete simulator is vectorized over paths, one array per particle;
 its step also takes given noise, so a property test pins it to the scalar
-step, an oracle kept in tests/oracles.py.  The continuous-time simulator
+step, an oracle kept in tests/oracles.py.  At small q a step touches only
+the few paths with a nonzero draw; a path with none stays put, so the output
+is the dense step's, bit for bit.  The continuous-time simulator
 holds each path's state as a list of ints, applies its clock rings, drawn
 by uniformization, one event rule call each, and returns only the final
 patterns.  Both simulators refuse a run whose expected work is over a fixed
@@ -106,10 +108,19 @@ def check_discrete_budget(k: int, steps: float, n_paths: int, what: str) -> None
 # vectorized discrete-time Monte Carlo
 # ---------------------------------------------------------------------------
 
+# A step moves only the paths with a nonzero draw when their expected share,
+# 1 - (1 - q)^(2 particles), is below this; measured, it is faster to 0.15.
+SPARSE_SHARE = 1 / 8
+
+
 def geometric_draws(rng: np.random.Generator, q: float, size) -> np.ndarray:
-    """Inverse-CDF geometric draws with pmf q^x (1-q), x >= 0, computed in the
-    array of uniforms u: it allocates u, the u == 0 mask and the result."""
-    u = rng.random(size)
+    """Inverse-CDF geometric draws with pmf q^x (1-q), x >= 0, of rng.random(size)."""
+    return geometric_of(rng.random(size), q)
+
+
+def geometric_of(u: np.ndarray, q: float) -> np.ndarray:
+    """The draws floor(log(u) / log(q)) of the uniforms u, computed in u: it
+    allocates only the u == 0 mask and the result."""
     # guard u == 0 (log(0)); probability zero but numpy can return it
     u[u == 0.0] = 0.5
     np.log(u, out=u)
@@ -120,7 +131,8 @@ def geometric_draws(rng: np.random.Generator, q: float, size) -> np.ndarray:
 class DiscreteSimulation:
     """Vectorized simulation of the discrete-time model over many paths.
 
-    State is held as one integer array of shape (n_paths,) per particle, keyed (l, j).
+    State is held as one integer array of shape (n_paths,) per particle, keyed
+    (l, j); a step at small q writes only its moving paths into those arrays.
     """
 
     def __init__(self, q: Fraction | float, k: int, n_paths: int, seed: int):
@@ -136,14 +148,31 @@ class DiscreteSimulation:
         self.state = {key: np.zeros(n_paths, dtype=np.int64) for key in particles(k)}
 
     def step(self, noise: tuple[list, list] | None = None) -> None:
-        """One step; noise, if given, is (xi_half, xi_full): draws in particles(k) order."""
-        old, table = [self.state[key] for key in particles(self.k)], neighbours(self.k)
-        if noise is None:
-            q, rng, n = self.q, self.rng, self.n_paths
-            xi_half = [geometric_draws(rng, q, n) for _ in old]
-            xi_full = [geometric_draws(rng, q, n) for _ in old]
-        else:
-            xi_half, xi_full = noise
+        """One step; noise, if given, is (xi_half, xi_full): draws in
+        particles(k) order.  Else each draw is one rng.random(n_paths), the
+        half-step's first, and when few paths can move (SPARSE_SHARE) only
+        those with a nonzero draw are stepped: both half-steps fix a valid
+        pattern whose draws are all 0, so the patterns are the same."""
+        keys, q, rng, n = particles(self.k), self.q, self.rng, self.n_paths
+        old, table, moving = [self.state[key] for key in keys], neighbours(self.k), None
+        if noise is None and 1 - (1 - q) ** (2 * len(old)) < SPARSE_SHARE:
+            # u > 1.01 q gives a 0 draw: log(u) - log(q) > log(1.01), so
+            # log(u) / log(q) < 1 - 0.0099 / |log q| <= 1 - 1.3e-5 (every
+            # double has |log q| < 745), far past the rounding of either
+            below, us = np.empty((2 * len(old), n), bool), []
+            for row in below:
+                u = rng.random(n)
+                np.less_equal(u, 1.01 * q, out=row)
+                us.append(u[row])
+                del u  # one array of uniforms at a time
+            moving = np.flatnonzero(below.any(axis=0))
+            # row d of xi is draw d at the moving paths, filled in row order
+            xi = np.zeros((len(us), len(moving)), np.int64)
+            xi[below[:, moving]] = geometric_of(np.concatenate(us), q)
+            noise, old = (xi[:len(old)], xi[len(old):]), [column[moving] for column in old]
+        elif noise is None:
+            noise = [[geometric_draws(rng, q, n) for _ in old] for _ in "hf"]
+        xi_half, xi_full = noise
 
         # left half-step
         half = []
@@ -167,7 +196,11 @@ class DiscreteSimulation:
             if upper_left is not None:
                 moved = np.minimum(moved, half[upper_left])
             new.append(moved)
-        self.state = dict(zip(particles(self.k), new))
+        if moving is None:
+            self.state = dict(zip(keys, new))
+        else:
+            for key, moved in zip(keys, new):
+                self.state[key][moving] = moved
 
     def run(self, horizon: int) -> None:
         if horizon < 0:
@@ -269,6 +302,8 @@ def semigroup_law(k: int, radius: int, t: float) -> dict[Row, float]:
 
     from gtpatterns.kernels import states_in_box
 
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
     states = states_in_box(k, radius)
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be finite and >= 0, got {t}")
@@ -276,7 +311,10 @@ def semigroup_law(k: int, radius: int, t: float) -> dict[Row, float]:
     rho = np.arange(r - 1, -1, -1) + (0.5 if k % 2 == 0 else 0.0)
     beta = np.array(states)
     x = (beta + rho)[:, :, None]
-    law = np.linalg.det(ive(x - rho, 2 * t) - (-1) ** k * ive(x + rho, 2 * t))
+    with np.errstate(all="ignore"):  # a non-finite law is refused below
+        law = np.linalg.det(ive(x - rho, 2 * t) - (-1) ** k * ive(x + rho, 2 * t))
+    if not np.isfinite(law).all():
+        raise ValueError(f"t={t} is too large: the law's determinants are not finite")
     law *= [weyl_dimension(k + 1, s) for s in states]
     if k % 2 == 1:
         law[beta[:, -1] == 0] /= 2

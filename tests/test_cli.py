@@ -192,6 +192,7 @@ ONES = ",".join(["1"] * 500)
         ["experiment", "large-q", "--k", "1", "--big-n", HUGE],
         ["ctmc", "--k", "1", "--t-max", "1", "--paths", HUGE],
         ["count", "--k", "0", "--lambda", "1"],
+        ["experiment", "ctmc-marginal", "--k", "0"],
     ],
 )
 def test_domain_error_is_one_line_and_exit_code_2(argv, capsys):
@@ -204,6 +205,30 @@ def test_domain_error_is_one_line_and_exit_code_2(argv, capsys):
         code = main(argv)
         out, err = capsys.readouterr()
     assert_usage_error(code, out, err)
+
+
+@pytest.mark.parametrize("which", ["markov-marginal", "ctmc-marginal", "small-q", "large-q"])
+def test_k_0_is_refused_by_name(which, capsys):
+    assert main(["experiment", which, "--k", "0", "--paths", "10"]) == 2
+    assert "need k >= 1" in capsys.readouterr().err
+
+
+def test_reader_closing_the_pipe_leaves_no_traceback():
+    """A reader that takes one line and closes the pipe, as `| head -1`
+    does: the rest of the output (about 150 kB, more than a pipe holds)
+    cannot be written, and the run ends without a traceback."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["ctmc", "--k", "5", "--t-max", "3", "--paths", "6000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gtpatterns.cli", *argv], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtpatterns import dynamics
 from gtpatterns.dynamics import (
     CTMC_CHUNK,
     CTMC_WINDOW_RINGS,
@@ -283,6 +284,84 @@ class TestVectorizedSimulation:
             assert np.all(draws == math.floor(math.log(0.5) / math.log(q)))
 
 
+class TestSparseStep:
+    """At small q a step draws the same uniforms but steps only the paths
+    with a nonzero draw, those with a uniform at or below 1.01 q."""
+
+    @pytest.mark.parametrize("q,k", [(1 / 200, 2), (1 / 200, 4), (1 / 50, 2)])
+    def test_cut_gives_the_draws_of_step_noise(self, q, k):
+        """A stub stream of uniforms on either side of q and of the cut
+        1.01 q, and of u == 0, each with probability 0.03, else 1/2: the
+        sparse step's patterns are those of the same draws through
+        geometric_draws and step(noise)."""
+        assert 1 - (1 - q) ** (2 * particle_count(k)) < dynamics.SPARSE_SHARE
+        cut = 1.01 * q
+        crafted = [0.0, q, np.nextafter(q, 0), np.nextafter(q, 1),
+                   cut, np.nextafter(cut, 0), np.nextafter(cut, 1), 0.5]
+
+        class Crafted:
+            def __init__(self):
+                self.pick = np.random.default_rng(5)
+
+            def random(self, size):
+                return self.pick.choice(crafted, size, p=[0.03] * 7 + [0.79])
+
+        n_paths = 400
+        sparse = DiscreteSimulation(q, k, n_paths, 0)
+        dense = DiscreteSimulation(q, k, n_paths, 0)
+        sparse.rng, stream = Crafted(), Crafted()
+        for _ in range(6):
+            sparse.step()
+            dense.step([[geometric_draws(stream, q, n_paths) for _ in particles(k)]
+                        for _ in "hf"])
+            assert sparse.patterns() == dense.patterns()
+        assert sparse.patterns() != DiscreteSimulation(q, k, n_paths, 0).patterns()
+
+    @pytest.mark.parametrize("q,k", [(1 / 200, 2), (1 / 200, 6), (1 / 50, 3), (0.3, 2), (0.99, 3)])
+    def test_sparse_and_dense_runs_are_equal(self, q, k, monkeypatch):
+        """From one seed the sparse and the dense step give the same
+        patterns, whichever form SPARSE_SHARE would choose."""
+        runs = []
+        for share in (0.0, 2.0):  # always dense, always sparse
+            monkeypatch.setattr(dynamics, "SPARSE_SHARE", share)
+            sim = DiscreteSimulation(q, k, 2000, seed=k)
+            sim.run(30)
+            runs.append(sim.patterns())
+        assert runs[0] == runs[1]
+
+    def test_small_q_transforms_few_uniforms(self, monkeypatch):
+        """At q = 1/200, k = 2 about 2% of paths move in a step, and only
+        their uniforms reach the geometric transform."""
+        seen = []
+
+        def counted(u, q):
+            seen.append(np.size(u))
+            return real(u, q)
+
+        real = dynamics.geometric_of
+        monkeypatch.setattr(dynamics, "geometric_of", counted)
+        n_paths, steps = 20_000, 20
+        DiscreteSimulation(1 / 200, 2, n_paths, seed=1).run(steps)
+        dense = steps * 2 * particle_count(2) * n_paths
+        assert 0 < sum(seen) < dense / 8
+
+    def test_sparse_step_holds_one_array_of_uniforms(self):
+        """At q = 1/200, k = 2 and 2e5 paths a step holds one array of
+        uniforms (1.5 MiB) and a byte per path and draw: its traced peak
+        reads 2.3 MiB, under two arrays of uniforms."""
+        n_paths = 200_000
+        DiscreteSimulation(1 / 200, 2, 10, 1).run(2)  # first-use allocations
+        sim = DiscreteSimulation(1 / 200, 2, n_paths, 1)
+        sim.run(2)
+        tracemalloc.start()
+        try:
+            sim.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * n_paths
+
+
 class TestCtmc:
     def test_right_pushes_stack(self):
         # rows 1..3 all at 0; the row-1 particle jumping right pushes the
@@ -452,6 +531,19 @@ class TestGenerator:
     def test_semigroup_law_rejects_bad_time(self, t):
         with pytest.raises(ValueError, match="t must be finite and >= 0"):
             semigroup_law(2, 6, t)
+
+    def test_semigroup_law_refuses_a_time_whose_law_is_not_finite(self):
+        """At t = 1e12 every Bessel entry, and so every determinant, is NaN:
+        refused, where dropping them gave an empty law.  At t = 1e6 the law
+        is finite and returned."""
+        with pytest.raises(ValueError, match="too large"):
+            semigroup_law(2, 5, 1e12)
+        law = semigroup_law(2, 5, 1e6)
+        assert law and all(math.isfinite(p) and p > 0 for p in law.values())
+
+    def test_semigroup_law_refuses_k_0(self):
+        with pytest.raises(ValueError, match="need k >= 1"):
+            semigroup_law(0, 5, 1.0)
 
     def test_ctmc_top_row_law_at_odd_k(self):
         """The simulated top row at k = 3, t = 1 against the Weyl-group law,
